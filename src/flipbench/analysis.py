@@ -10,7 +10,7 @@ configuration) and all time-steps are 1-based, matching trace files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -92,14 +92,6 @@ class Cycle:
     v: int
     times: tuple   # increasing 1-based time-steps
     parts: tuple   # departed parts p_{t_1}, ..., p_{t_w} (all distinct)
-
-    @property
-    def t_beg(self) -> int:
-        return self.times[0]
-
-    @property
-    def t_end(self) -> int:
-        return self.times[-1]
 
     def __len__(self):
         return len(self.times)

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .analysis import (Cycle, Segment, classify_cyclic, cycles,
-                       occurrence_stats, transition_singleton_blocks)
+from .analysis import (Cycle, classify_cyclic, cycles, occurrence_stats,
+                       transition_singleton_blocks)
 from .engine import Trace
-from .matrices import SignMatrix, build_P, columns_for, exact_rank
-from .model import Instance, ModelError, Move
+from .matrices import build_P, columns_for, exact_rank
+from .model import ModelError, Move
 from .thresholds import Beta
 
 
@@ -603,10 +603,6 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
 
 
 # --- validation --------------------------------------------------------------
-
-def _arc_column(trace: Trace, arc: Arc):
-    return columns_for(trace, [arc.witness]).cols[0]
-
 
 def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     """Adversarial re-check of a certificate against the real matrix.

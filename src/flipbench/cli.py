@@ -16,8 +16,7 @@ from .analysis import (classify_cyclic, cycles, cyclic_acyclic_blocks,
                        transition_singleton_blocks)
 from .certificates import (build_3cut_certificate, build_half_certificate,
                            build_k2_certificate, validate_certificate)
-from .engine import (DEFAULT_CAP, PivotRule, run_flip, slice_trace,
-                     trace_from_text, trace_to_text)
+from .engine import DEFAULT_CAP, PivotRule, run_flip, trace_from_text, trace_to_text
 from .harness import parse_config, rows_to_csv, run_experiment
 from .model import Instance, ModelError, parse_configuration
 from .thresholds import Beta

@@ -1,20 +1,22 @@
 """FLIP execution engine: pivot rules, validated traces, replay, windows.
 
-A run maintains, for every vertex, the total weight numerator towards
-each part, so a move costs O(deg(v)) to score and to apply.  All deltas
-are recorded as exact integer numerators over the instance denominator.
+A run keeps, for every vertex, the total weight numerator towards each
+part in a numpy array, so scoring all n*k moves is one vectorised pass
+and a move is two row updates.  All deltas are recorded as exact Python
+integer numerators over the instance denominator.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .model import (Instance, InvalidMoveError, ModelError, Move,
-                    check_configuration, format_configuration, hamiltonian,
-                    parse_configuration)
+import numpy as np
+
+from .model import (Instance, ModelError, Move, apply_move, check_configuration,
+                    hamiltonian, parse_configuration)
 
 DEFAULT_CAP = 10 ** 8
 
@@ -94,63 +96,40 @@ class Trace:
 
 
 class _State:
-    """Mutable FLIP state: configuration plus per-vertex per-part sums."""
+    """Mutable FLIP state: configuration plus every vertex's pull to each part.
+
+    sums[p, v] is the weight numerator from v to the vertices in part p
+    (row 0 unused), so moving v to q improves by sums[tau[v], v] - sums[q, v]
+    and a move updates two rows.  The dtype is the weight matrix's: int64
+    within its overflow rule, Python ints beyond it, so no decision uses
+    floats.
+    """
 
     def __init__(self, inst: Instance, tau0):
         check_configuration(inst, tau0)
-        self.inst = inst
-        self.tau = list(tau0)
-        self.sums = [[0] * (inst.k + 1) for _ in range(inst.n)]
-        for v in range(inst.n):
-            row = self.sums[v]
-            for u, _, num in inst.neighbors(v):
-                row[tau0[u]] += num
+        self.n = inst.n
+        self.weights = inst.weight_matrix()
+        self.tau = np.array(tau0, dtype=np.intp)
+        parts = np.arange(inst.k + 1)[:, None] == self.tau
+        self.sums = parts.astype(np.int64) @ self.weights
+        # flat index of sums[tau[v], v]: take() on it beats 2-d fancy indexing
+        self.own = self.tau * self.n + np.arange(self.n)
+
+    def deltas(self):
+        """Improvement numerator of every move, flat in (vertex, part) order;
+        a vertex's own part scores 0."""
+        depart = self.sums.ravel().take(self.own)
+        return (depart - self.sums[1:]).T.ravel()
 
     def delta_num(self, v: int, q: int) -> int:
-        row = self.sums[v]
-        return row[self.tau[v]] - row[q]
+        return int(self.sums[self.tau[v], v] - self.sums[q, v])
 
     def apply(self, move: Move) -> None:
-        inst = self.inst
+        row = self.weights[move.v]
+        self.sums[move.p] -= row
+        self.sums[move.q] += row
         self.tau[move.v] = move.q
-        for u, _, num in inst.neighbors(move.v):
-            row = self.sums[u]
-            row[move.p] -= num
-            row[move.q] += num
-
-    def improving(self):
-        out = []
-        for v in range(self.inst.n):
-            p = self.tau[v]
-            row = self.sums[v]
-            depart = row[p]
-            for q in range(1, self.inst.k + 1):
-                if q != p and depart - row[q] > 0:
-                    out.append((Move(v, p, q), depart - row[q]))
-        return out
-
-    def first_improving(self):
-        for v in range(self.inst.n):
-            p = self.tau[v]
-            row = self.sums[v]
-            depart = row[p]
-            for q in range(1, self.inst.k + 1):
-                if q != p and depart - row[q] > 0:
-                    return Move(v, p, q), depart - row[q]
-        return None
-
-    def best_improving(self):
-        best = None
-        for v in range(self.inst.n):
-            p = self.tau[v]
-            row = self.sums[v]
-            depart = row[p]
-            for q in range(1, self.inst.k + 1):
-                if q != p:
-                    d = depart - row[q]
-                    if d > 0 and (best is None or d > best[1]):
-                        best = (Move(v, p, q), d)
-        return best
+        self.own[move.v] += (move.q - move.p) * self.n
 
 
 def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
@@ -167,20 +146,23 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
     steps = []
     cap_hit = False
     while True:
+        d = state.deltas()
         if len(steps) >= cap:
-            cap_hit = state.first_improving() is not None
+            cap_hit = bool((d > 0).any())
             break
-        if rule.variant == "first":
-            pick = state.first_improving()
-        elif rule.variant == "best":
-            pick = state.best_improving()
+        if rule.variant == "random":
+            cands = np.flatnonzero(d > 0)
+            if not len(cands):
+                break
+            i = cands[rng.randrange(len(cands))]
         else:
-            cands = state.improving()
-            pick = cands[rng.randrange(len(cands))] if cands else None
-        if pick is None:
-            break
-        move, dnum = pick
-        steps.append((move, dnum))
+            # argmax takes the first maximum: the (vertex, part) tie-break
+            i = (d > 0 if rule.variant == "first" else d).argmax()
+            if d[i] <= 0:
+                break
+        v, q = divmod(int(i), inst.k)
+        move = Move(v, int(state.tau[v]), q + 1)
+        steps.append((move, int(d[i])))
         state.apply(move)
     return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(steps),
                  step_cap_hit=cap_hit, rule=rule.variant, seed=rule.seed)
@@ -267,8 +249,13 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_from_text(inst: Instance, text: str) -> Trace:
+    """Read a trace file against its instance.
+
+    The `# instance` header must name inst's content hash and every
+    record's delta must equal the replayed one; otherwise ModelError.
+    """
     tau0 = None
-    moves = []
+    moves, dnums = [], []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -276,14 +263,23 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
         if ln.startswith("#"):
             if ln.startswith("# tau0 "):
                 tau0 = parse_configuration(ln[len("# tau0 "):])
+            elif (ln.startswith("# instance ")
+                  and ln.removeprefix("# instance ") != inst.content_hash()):
+                raise ModelError(f"{ln!r} does not name instance {inst.content_hash()}")
             continue
-        tok = ln.split()
-        if len(tok) != 5:
-            raise ModelError(f"malformed trace record: {ln!r}")
-        moves.append(Move(int(tok[1]), int(tok[2]), int(tok[3])))
+        try:
+            _, v, p, q, dnum = map(int, ln.split())
+        except ValueError:
+            raise ModelError(f"malformed trace record: {ln!r}") from None
+        moves.append(Move(v, p, q))
+        dnums.append(dnum)
     if tau0 is None:
         raise ModelError("trace file missing tau0 header")
-    return replay(inst, tau0, moves)
+    trace = replay(inst, tau0, moves)
+    for t, (got, want) in enumerate(zip(trace.delta_nums, dnums), start=1):
+        if got != want:
+            raise ModelError(f"step {t} records delta {want}, replay gives {got}")
+    return trace
 
 
 def verify_trace(trace: Trace) -> None:
@@ -292,7 +288,6 @@ def verify_trace(trace: Trace) -> None:
     h_prev = hamiltonian(inst, trace.tau0)
     tau = trace.tau0
     for t, (move, dnum) in enumerate(trace.steps, start=1):
-        from .model import apply_move
         tau = apply_move(tau, move)
         h = hamiltonian(inst, tau)
         if h - h_prev != Fraction(dnum, inst.denom):

@@ -15,16 +15,15 @@ import io
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .analysis import find_critical_block, classify_cyclic, occurrence_stats, \
     two_critical_block
-from .certificates import (CertificateError, build_3cut_certificate,
-                           build_half_certificate, build_k2_certificate,
-                           validate_certificate)
+from .certificates import (build_3cut_certificate, build_half_certificate,
+                           build_k2_certificate, validate_certificate)
 from .engine import DEFAULT_CAP, PivotRule, run_flip, slice_trace
 from .generator import SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (Cycle, CycleSet, Pair, TruncatedCycleSetError, cycles,
-                       pairs)
+from .analysis import CycleSet, TruncatedCycleSetError, cycles, pairs
 from .engine import Trace
 from .model import ModelError
 
@@ -193,7 +192,7 @@ def exact_rank(mat) -> int:
         piv = rows[r][c]
         for i in range(r + 1, len(rows)):
             fi = rows[i][c]
-            if fi == 0 and prev == 1:
+            if fi == 0 and piv == prev:
                 continue
             row_i = rows[i]
             row_r = rows[r]

@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 DEFAULT_DENOM = 2 ** 20
 
@@ -56,6 +58,8 @@ class Instance:
     complete: bool = False
     _adj: dict = field(default_factory=dict, repr=False, compare=False)
     _edge_index: dict = field(default_factory=dict, repr=False, compare=False)
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
+    _weights: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -104,6 +108,19 @@ class Instance:
             u, v = v, u
         return self._edge_index.get((u, v))
 
+    def weight_matrix(self) -> np.ndarray:
+        """Read-only dense symmetric n x n weight numerators, built once: int64
+        while n * denom < 2**62 keeps every sum of a row and every difference
+        of two such sums exact, Python ints otherwise."""
+        if self._weights is None:
+            dtype = np.int64 if self.n * self.denom < 2 ** 62 else object
+            w = np.zeros((self.n, self.n), dtype=dtype)
+            u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+            w[u, v] = w[v, u] = np.array(self.weight_nums, dtype=dtype)
+            w.flags.writeable = False
+            object.__setattr__(self, "_weights", w)
+        return self._weights
+
     def weight(self, i: int) -> Fraction:
         return Fraction(self.weight_nums[i], self.denom)
 
@@ -143,7 +160,10 @@ class Instance:
                    denom=denom, phi=phi, complete=complete)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        if self._hash is None:
+            digest = hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+            object.__setattr__(self, "_hash", digest)
+        return self._hash
 
 
 def complete_edges(n: int):
@@ -160,12 +180,11 @@ def check_configuration(inst: Instance, tau: Sequence[int]) -> None:
             raise ModelError(f"vertex {v} has part {part} outside 1..{inst.k}")
 
 
-def format_configuration(tau: Sequence[int]) -> str:
-    return " ".join(str(p) for p in tau) + "\n"
-
-
 def parse_configuration(text: str) -> Configuration:
-    return tuple(int(tok) for tok in text.split())
+    try:
+        return tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise ModelError(f"non-integer part label in {text.strip()[:60]!r}") from None
 
 
 def sign_view(tau: Sequence[int]) -> tuple:

@@ -73,9 +73,11 @@ def test_cap():
 
 
 def test_replay_matches_run():
-    trace = run_random(10, 3, 8)
-    back = fb.replay(trace.instance, trace.tau0, trace.moves)
-    assert back.steps == trace.steps
+    for k, rule in ((3, "first"), (2, "random"), (4, "best")):
+        trace = run_random(10, k, 8, rule=rule)
+        back = fb.replay(trace.instance, trace.tau0, trace.moves)
+        assert back.steps == trace.steps
+        _assert_python_ints(back)
 
 
 def test_replay_invalid_move():
@@ -136,3 +138,86 @@ def test_configurations_walk():
     assert confs[-1] == trace.final_configuration()
     for t in range(len(trace) + 1):
         assert trace.configuration_at(t) == confs[t]
+
+
+def reference_flip(inst, tau0, rule, cap):
+    """FLIP straight from the model's improving-move list: the ordered
+    candidates give first, the first maximum gives best, and random draws
+    from the rule's seeded stream."""
+    rng = random.Random(f"flip:{rule.seed}")
+    tau, steps = tuple(tau0), []
+    while True:
+        cands = fb.improving_moves(inst, tau)
+        if len(steps) >= cap or not cands:
+            return steps, bool(cands)
+        if rule.variant == "first":
+            move, delta = cands[0]
+        elif rule.variant == "best":
+            move, delta = max(cands, key=lambda c: c[1])
+        else:
+            move, delta = cands[rng.randrange(len(cands))]
+        steps.append((move, int(delta * inst.denom)))
+        tau = fb.apply_move(tau, move)
+
+
+def _assert_python_ints(trace):
+    for move, dnum in trace.steps:
+        assert all(type(x) is int for x in (*move, dnum))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["complete", "gnp"])
+def test_run_flip_equals_reference_flip(kind, k):
+    cap_hits = 0
+    for seed in range(2):
+        inst = smoothed_instance(13, k, 40 + seed, kind=kind, p=0.6)
+        # from all-in-one-part, every move of a vertex ties across the empty parts
+        tau0 = random_tau0(13, k, (kind, k)) if seed else (1,) * 13
+        for variant in ("first", "best", "random"):
+            rule = fb.PivotRule(variant=variant, seed=seed)
+            for cap in (fb.engine.DEFAULT_CAP, 3):
+                trace = fb.run_flip(inst, tau0, rule, cap=cap)
+                steps, hit = reference_flip(inst, tau0, rule, cap)
+                assert list(trace.steps) == steps
+                assert trace.step_cap_hit == hit
+                _assert_python_ints(trace)
+                cap_hits += hit
+    assert cap_hits
+
+
+def test_run_flip_exact_beyond_int64():
+    # n * denom >= 2**62 puts the state on Python ints instead of int64
+    profile = fb.SmoothingProfile(phi=Fraction(1), seed=5)
+    inst = fb.make_instance("complete", 12, 3, profile, denom=2 ** 70)
+    assert inst.weight_matrix().dtype == object
+    tau0 = random_tau0(12, 3, 5)
+    for variant in ("first", "best", "random"):
+        rule = fb.PivotRule(variant=variant, seed=2)
+        trace = fb.run_flip(inst, tau0, rule)
+        assert list(trace.steps) == reference_flip(inst, tau0, rule, fb.engine.DEFAULT_CAP)[0]
+        assert max(trace.delta_nums) >= 2 ** 63
+        _assert_python_ints(trace)
+        fb.verify_trace(trace)
+
+
+def test_trace_text_rejects_other_instance():
+    trace = run_random(12, 2, 13)
+    other = smoothed_instance(12, 2, 14)
+    with pytest.raises(fb.ModelError, match="instance"):
+        fb.trace_from_text(other, fb.trace_to_text(trace))
+
+
+def test_trace_text_rejects_edited_delta():
+    trace = run_random(12, 2, 15)
+    lines = fb.trace_to_text(trace).splitlines()
+    tok = lines[-1].split()
+    lines[-1] = " ".join(tok[:4] + ["999999"])
+    with pytest.raises(fb.ModelError, match=f"step {len(trace)}"):
+        fb.trace_from_text(trace.instance, "\n".join(lines) + "\n")
+    for bad in (" ".join(tok[:4] + ["x"]), " ".join(tok[:4])):
+        lines[-1] = bad
+        with pytest.raises(fb.ModelError, match="malformed"):
+            fb.trace_from_text(trace.instance, "\n".join(lines) + "\n")
+    text = fb.trace_to_text(trace).replace("# tau0 ", "# tau0 x ")
+    with pytest.raises(fb.ModelError, match="non-integer"):
+        fb.trace_from_text(trace.instance, text)

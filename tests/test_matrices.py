@@ -148,6 +148,17 @@ def test_exact_rank_on_sign_matrices():
         assert fb.exact_rank(p) == _fraction_rank(p.dense())
 
 
+def test_exact_rank_on_natural_cycle_matrices():
+    # column-skipping Bareiss steps must still rescale by piv / prev: these
+    # rank-deficient cycle matrices of natural k>=3 FLIP runs caught it
+    for n, k in ((32, 3), (48, 3), (40, 4), (64, 4)):
+        for seed in range(5):
+            rule = ("first", "best", "random")[seed % 3]
+            p = fb.build_P(run_random(n, k, seed, rule=rule), "cycles")
+            support = [r for r in p.dense() if any(r)]
+            assert fb.exact_rank(p) == _fraction_rank([list(c) for c in zip(*support)])
+
+
 def test_matrix_text_roundtrip():
     trace = run_random(8, 2, 7)
     p = fb.build_P(trace, "pairs")

@@ -1,5 +1,6 @@
 """Core model: exact deltas, objective identities, serialization."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -116,6 +117,8 @@ def test_configuration_helpers():
     with pytest.raises(fb.ModelError):
         check_configuration(inst, (1, 2, 3, 1))
     assert parse_configuration("1 2 2 1") == (1, 2, 2, 1)
+    with pytest.raises(fb.ModelError):
+        parse_configuration("1 x 2 1")
     assert sign_view((1, 2, 2, 1)) == (1, -1, -1, 1)
 
 
@@ -134,3 +137,19 @@ def test_edge_index_and_neighbors():
     assert inst.edge_index(0, 4) is not None
     assert len(inst.neighbors(0)) == 4
     assert inst.m == 10
+
+
+def test_cached_hash_and_weight_matrix():
+    inst = smoothed_instance(9, 3, 8, kind="gnp")
+    assert inst.content_hash() == hashlib.sha256(inst.to_text().encode()).hexdigest()[:16]
+    assert inst.content_hash() is inst.content_hash()
+    w = inst.weight_matrix()
+    assert w is inst.weight_matrix() and not w.flags.writeable
+    assert (w == w.T).all() and not w.diagonal().any()
+    assert int((w != 0).sum()) == 2 * sum(1 for num in inst.weight_nums if num)
+    for (u, v), num in zip(inst.edges, inst.weight_nums):
+        assert w[u, v] == num
+    # the caches are not part of equality or of the constructor
+    again = fb.Instance(n=inst.n, k=inst.k, edges=inst.edges, weight_nums=inst.weight_nums,
+                        denom=inst.denom, phi=inst.phi)
+    assert again == inst and again._hash is None and again._weights is None
