@@ -15,20 +15,21 @@ Three constructions are provided:
 
 Every construction is re-validated against the actual matrix rather than
 trusted; validate_certificate uses its own rational elimination so the
-check does not share code with exact_rank.
+check does not share code with exact_rank.  certify() is the one entry
+point from a mode name (k2, 3cut, half) to a built and validated
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .analysis import (Cycle, classify_cyclic, cycles, occurrence_stats,
-                       transition_singleton_blocks)
+from .analysis import (Cycle, classify_cyclic, cycles, cyclic_acyclic_blocks,
+                       occurrence_stats, transition_singleton_blocks)
 from .engine import Trace
 from .matrices import build_P, columns_for, exact_rank
-from .model import ModelError, Move
+from .model import ModelError
 from .thresholds import Beta
 
 
@@ -106,116 +107,15 @@ def is_good_arc(trace: Trace, v: int, u: int):
     e = inst.edge_index(u, v)
     if e is None:
         return False, None
-    for cyc in cycles(trace.moves, inst.k).over(v):
-        mat = columns_for(trace, [cyc.times])
-        if mat.entry(e, 0) != 0:
+    v_cycles = cycles(trace.moves, inst.k).over(v)
+    mat = columns_for(trace, [cyc.times for cyc in v_cycles])
+    for j, cyc in enumerate(v_cycles):
+        if mat.entry(e, j) != 0:
             return True, cyc.times
     return False, None
 
 
-def witness_entry(trace: Trace, arc: Arc) -> int:
-    """Entry of the arc's witness column on row {u,v}."""
-    e = trace.instance.edge_index(arc.u, arc.v)
-    if e is None:
-        return 0
-    mat = columns_for(trace, [arc.witness])
-    return mat.entry(e, 0)
-
-
-# --- k=2: singleton paths and the functional certificate ---------------------
-
-def _sub_stats(moves, t1, t2):
-    return occurrence_stats(moves[t1 - 1:t2])
-
-
-def singleton_path(moves: Sequence[Move], v: int):
-    """Chain of good arcs from a repeating vertex to a singleton (k=2).
-
-    Grows a nested chain of blocks: start with a pair of v, repeatedly
-    take a singleton u of the current block, and if u repeats in the
-    whole block, extend the chain to u's paired occurrence outside.
-    Termination is guaranteed for critical blocks (every proper
-    sub-block has a singleton).  Arbitrary choices resolve to smallest
-    vertex index.
-    """
-    stats = occurrence_stats(moves)
-    if v in stats.singletons:
-        raise CertificateError(f"vertex {v} is a singleton; no path needed")
-    if v not in stats.moving:
-        raise CertificateError(f"vertex {v} does not move")
-    if not stats.singletons:
-        raise CertificateError("block has no singleton vertices")
-
-    ts_v = stats.times[v]
-    t1, t2 = ts_v[0], ts_v[1]
-    chain_blocks = [(t1, t2)]  # B_0, B_1, ... as index ranges
-    chain_vertices = [v]       # u_0, u_1, ...
-
-    def pick_singleton(a, b):
-        sub = _sub_stats(moves, a, b)
-        if not sub.singletons:
-            raise CertificateError(
-                f"sub-block [{a},{b}] has no singleton; block is not critical")
-        return min(sub.singletons)
-
-    u = pick_singleton(t1, t2)
-    guard = 0
-    while u not in stats.singletons:
-        guard += 1
-        if guard > len(moves):
-            raise CertificateError("singleton-path procedure failed to terminate")
-        chain_vertices.append(u)
-        a, b = chain_blocks[-1]
-        r_u = next(t for t in stats.times[u] if a <= t <= b)
-        ts_u = stats.times[u]
-        idx = ts_u.index(r_u)
-        # paired occurrence outside the current block; prefer the later one
-        if idx + 1 < len(ts_u) and ts_u[idx + 1] > b:
-            q_u = ts_u[idx + 1]
-        elif idx > 0 and ts_u[idx - 1] < a:
-            q_u = ts_u[idx - 1]
-        else:
-            raise CertificateError(
-                f"vertex {u} repeats inside block [{a},{b}]; procedure contract broken")
-        a2, b2 = min(a, q_u), max(b, q_u)
-        chain_blocks.append((a2, b2))
-        u = pick_singleton(a2, b2)
-    chain_vertices.append(u)
-
-    # condition (v): u_i gets an in-arc from u_h, h = smallest index with
-    # u_i a singleton of B_h; follow those in-arcs back from the end
-    def smallest_holder(i):
-        ui = chain_vertices[i]
-        for h, (a, b) in enumerate(chain_blocks):
-            if h >= i:
-                break
-            sub = _sub_stats(moves, a, b)
-            if ui in sub.singletons:
-                return h
-        raise CertificateError("no holder block found; procedure contract broken")
-
-    path = []
-    i = len(chain_vertices) - 1
-    while i > 0:
-        h = smallest_holder(i)
-        tail, head = chain_vertices[h], chain_vertices[i]
-        good, wit = _good_pair_k2(stats, tail, head)
-        if not good:
-            raise CertificateError(f"arc {tail}->{head} failed the parity check")
-        path.append(Arc(v=tail, u=head, witness=wit))
-        i = h
-    path.reverse()
-    return path
-
-
-def _good_pair_k2(stats, v, u):
-    ts_u = stats.times.get(u, ())
-    ts_v = stats.times[v]
-    for a, b in zip(ts_v, ts_v[1:]):
-        if _occurrences_between(ts_u, a, b) % 2 == 1:
-            return True, (a, b)
-    return False, None
-
+# --- k=2: the functional certificate -----------------------------------------
 
 def build_k2_certificate(trace: Trace, beta: Beta):
     """Functional reverse-BFS certificate plus gap arcs, for a critical block.
@@ -322,9 +222,9 @@ def build_k2_certificate(trace: Trace, beta: Beta):
 # --- k=3 complete graphs: leaping cycles -------------------------------------
 
 def _cyclic_segments(moves, k):
-    cyc, _ = classify_cyclic(moves, k)
-    from .analysis import _alternating
-    return [s for s in _alternating(moves, cyc) if s.special], cyc
+    """Cyclic blocks, and the cyclic vertices: exactly those moving in them."""
+    segments = [s for s in cyclic_acyclic_blocks(moves, k) if s.special]
+    return segments, {moves[t - 1].v for s in segments for t in range(s.t1, s.t2 + 1)}
 
 
 def _segment_of(segments, t):
@@ -471,14 +371,13 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
         window_cycles.append(chosen)
         window_gap_sets.append(gap_vertices)
 
+    mat = columns_for(trace, [cyc.times for cyc in window_cycles])
     witnesses = []
     for r in range(big_r):
-        cyc = window_cycles[r]
-        mat = columns_for(trace, [cyc.times])
         found = None
         for u in sorted(window_gap_sets[r]):
             e = inst.edge_index(u, v)
-            if e is not None and mat.entry(e, 0) != 0:
+            if e is not None and mat.entry(e, r) != 0:
                 found = u
                 break
         if found is None:
@@ -552,15 +451,17 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
     moves = trace.moves
     cyclic_set, _ = classify_cyclic(moves, inst.k)
     cyc_set = cycles(moves, inst.k)
-    arcs: dict = {}
+    chosen: dict = {}
     for v in sorted(cyclic_set):
         v_cycles = cyc_set.over(v)
         if not v_cycles:
             raise CertificateError(f"cyclic vertex {v} has no enumerated cycle")
-        chosen = v_cycles[0]
-        mat = columns_for(trace, [chosen.times])
+        chosen[v] = v_cycles[0]
+    mat = columns_for(trace, [cyc.times for cyc in chosen.values()])
+    arcs: dict = {}
+    for j, (v, cyc) in enumerate(chosen.items()):
         head = None
-        for r, val in mat.column(0):
+        for r, val in mat.column(j):
             u, w = inst.edges[r]
             other = u if w == v else w
             if val != 0 and v in (u, w):
@@ -568,7 +469,7 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
         if head is None:
             raise CertificateError(
                 f"cycle column of vertex {v} is all-zero: trace was not improving")
-        arcs[v] = Arc(v=v, u=head, witness=chosen.times)
+        arcs[v] = Arc(v=v, u=head, witness=cyc.times)
 
     # break the node-disjoint directed cycles of the functional graph
     removed = set()
@@ -637,56 +538,47 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
         if state.get(node) is None and not dfs(node):
             return Verdict(valid=False, rank_bound=0, reason="graph has a directed cycle")
 
-    # witness entries and staircase pattern
-    col_cache: dict = {}
+    # witness entries and staircase, on one column per distinct witness;
+    # columns hold nonzero entries only
+    witnesses = tuple(dict.fromkeys(arc.witness for arc in arcs))
+    wit_cols = {wit: dict(col) for wit, col
+                in zip(witnesses, columns_for(trace, witnesses).cols)}
 
-    def entry(arc_tail, witness, u):
-        key = (arc_tail, witness)
-        if key not in col_cache:
-            col_cache[key] = dict(columns_for(trace, [witness]).cols[0])
-        e = inst.edge_index(u, arc_tail)
-        if e is None:
-            return 0
-        return col_cache[key].get(e, 0)
-
-    seen_edges = set()
+    rows_of: dict = {}
     for arc in arcs:
         e = inst.edge_index(arc.u, arc.v)
         if e is None:
             return Verdict(valid=False, rank_bound=0,
                            reason=f"arc {arc.v}->{arc.u}: edge missing")
-        if e in seen_edges:
+        if e in rows_of:
             return Verdict(valid=False, rank_bound=0,
                            reason=f"arc {arc.v}->{arc.u}: duplicate edge row")
-        seen_edges.add(e)
-        if entry(arc.v, arc.witness, arc.u) == 0:
+        rows_of[e] = len(rows_of)
+        if e not in wit_cols[arc.witness]:
             return Verdict(valid=False, rank_bound=0,
                            reason=f"arc {arc.v}->{arc.u}: witness entry is zero")
     for v, ordered in graph.arcs_by_tail.items():
         for i, arc_i in enumerate(ordered):
             for arc_j in ordered[i + 1:]:
-                if entry(v, arc_i.witness, arc_j.u) != 0:
+                if inst.edge_index(arc_j.u, v) in wit_cols[arc_i.witness]:
                     return Verdict(
                         valid=False, rank_bound=0,
                         reason=f"staircase broken at {v}->{arc_j.u} on witness of {v}->{arc_i.u}")
 
-    # full row rank of the witness-row submatrix, by rational elimination
-    p_cols = []
-    labels = []
-    full_p = None
-    for arc in arcs:
-        labels.append(inst.edge_index(arc.u, arc.v))
-    # rows over all pair/cycle columns of the trace
-    mode = "pairs" if inst.k == 2 else "cycles"
-    full_p = build_P(trace, mode)
-    rows = []
-    for e in labels:
-        rows.append([Fraction(full_p.entry(e, j)) for j in range(full_p.n_cols)])
+    # full row rank of the arcs' edge rows over all pair/cycle columns of
+    # the trace, read in one pass over P and eliminated over the rationals
+    full_p = build_P(trace, "pairs" if inst.k == 2 else "cycles")
+    rows = [[Fraction(0)] * full_p.n_cols for _ in rows_of]
+    for j, col in enumerate(full_p.cols):
+        for e, val in col:
+            if e in rows_of:
+                rows[rows_of[e]][j] = Fraction(val)
     rank = _rational_row_rank(rows)
     if rank != len(arcs):
         return Verdict(valid=False, rank_bound=rank,
                        reason=f"witness rows have rank {rank}, expected {len(arcs)}")
     return Verdict(valid=True, rank_bound=len(arcs))
+
 
 
 def _rational_row_rank(rows) -> int:
@@ -715,3 +607,21 @@ def _rational_row_rank(rows) -> int:
         if r == len(rows):
             break
     return rank
+
+
+# --- dispatch ----------------------------------------------------------------
+
+# mode -> builder(trace, beta) -> (graph, bound); only k2 reads beta
+BUILDERS = {
+    "k2": build_k2_certificate,
+    "3cut": lambda trace, beta: build_3cut_certificate(trace, check_rank=False),
+    "half": lambda trace, beta: build_half_certificate(trace, check_rank=False),
+}
+
+
+def certify(trace: Trace, mode: str, beta: Beta):
+    """Build the mode's certificate and validate it: (graph, bound, verdict)."""
+    if mode not in BUILDERS:
+        raise CertificateError(f"unknown certificate mode {mode!r}")
+    graph, bound = BUILDERS[mode](trace, beta)
+    return graph, bound, validate_certificate(graph, trace)

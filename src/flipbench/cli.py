@@ -14,8 +14,7 @@ import sys
 from .analysis import (classify_cyclic, cycles, cyclic_acyclic_blocks,
                        find_critical_block, occurrence_stats, surplus,
                        transition_singleton_blocks)
-from .certificates import (build_3cut_certificate, build_half_certificate,
-                           build_k2_certificate, validate_certificate)
+from .certificates import BUILDERS, certify
 from .engine import DEFAULT_CAP, PivotRule, run_flip, trace_from_text, trace_to_text
 from .harness import parse_config, rows_to_csv, run_experiment
 from .model import Instance, ModelError, parse_configuration
@@ -41,7 +40,8 @@ def _load_trace(instance_path: str, trace_path: str, k: int | None = None):
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance, args.k)
     if args.tau0:
-        tau0 = parse_configuration(open(args.tau0).read())
+        with open(args.tau0) as fh:
+            tau0 = parse_configuration(fh.read())
     else:
         rng = random.Random(f"tau0:{args.seed}")
         tau0 = tuple(rng.randint(1, inst.k) for _ in range(inst.n))
@@ -91,14 +91,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify(args) -> int:
     trace = _load_trace(args.instance, args.trace)
-    beta = Beta.parse(args.beta)
-    if args.mode == "k2":
-        graph, bound = build_k2_certificate(trace, beta)
-    elif args.mode == "3cut":
-        graph, bound = build_3cut_certificate(trace, check_rank=False)
-    else:
-        graph, bound = build_half_certificate(trace, check_rank=False)
-    verdict = validate_certificate(graph, trace)
+    graph, bound, verdict = certify(trace, args.mode, Beta.parse(args.beta))
     sys.stdout.write(graph.to_text())
     print(f"# arcs {graph.n_arcs} bound {bound} valid {int(verdict.valid)}")
     if not verdict.valid:
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build and validate a rank certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--mode", required=True, choices=["k2", "3cut", "half"])
+    p.add_argument("--mode", required=True, choices=list(BUILDERS))
     p.add_argument("--beta", default="1/sqrt2")
     p.set_defaults(fn=cmd_certify)
 
@@ -168,7 +161,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

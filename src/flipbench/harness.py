@@ -20,10 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import find_critical_block, classify_cyclic, occurrence_stats, \
-    two_critical_block
-from .certificates import (build_3cut_certificate, build_half_certificate,
-                           build_k2_certificate, validate_certificate)
+from .analysis import (BlockView, classify_cyclic, find_critical_block,
+                       occurrence_stats, two_critical_block)
+from .certificates import certify
 from .engine import DEFAULT_CAP, PivotRule, run_flip, slice_trace
 from .generator import SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank
@@ -64,6 +63,26 @@ class ExperimentConfig:
             raise HarnessError("need at least one trial")
 
 
+# config key -> converter from its value text; one entry per config field
+CONFIG_FIELDS = {
+    "mode": str,
+    "n_grid": lambda v: tuple(int(x) for x in v.split(",")),
+    "k": int,
+    "phi_grid": lambda v: tuple(Fraction(x) for x in v.split(",")),
+    "beta": Beta.parse,
+    "trials": int,
+    "rule": str,
+    "seed": int,
+    "cap": int,
+    "eta": float,
+    "graph": str,
+    "p": float,
+    "samples": int,
+    "eps": Fraction,
+    "jobs": int,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Config file format: one `key value` pair per line, # comments."""
     kw: dict = {}
@@ -72,40 +91,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if not ln or ln.startswith("#"):
             continue
         key, _, value = ln.partition(" ")
-        value = value.strip()
+        if key not in CONFIG_FIELDS:
+            raise HarnessError(f"unknown config key {key!r} on line {lineno}")
         try:
-            if key == "mode":
-                kw["mode"] = value
-            elif key == "n_grid":
-                kw["n_grid"] = tuple(int(x) for x in value.split(","))
-            elif key == "k":
-                kw["k"] = int(value)
-            elif key == "phi_grid":
-                kw["phi_grid"] = tuple(Fraction(x) for x in value.split(","))
-            elif key == "beta":
-                kw["beta"] = Beta.parse(value)
-            elif key == "trials":
-                kw["trials"] = int(value)
-            elif key == "rule":
-                kw["rule"] = value
-            elif key == "seed":
-                kw["seed"] = int(value)
-            elif key == "cap":
-                kw["cap"] = int(value)
-            elif key == "eta":
-                kw["eta"] = float(value)
-            elif key == "graph":
-                kw["graph"] = value
-            elif key == "p":
-                kw["p"] = float(value)
-            elif key == "samples":
-                kw["samples"] = int(value)
-            elif key == "eps":
-                kw["eps"] = Fraction(value)
-            elif key == "jobs":
-                kw["jobs"] = int(value)
-            else:
-                raise HarnessError(f"unknown config key {key!r} on line {lineno}")
+            kw[key] = CONFIG_FIELDS[key](value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise HarnessError(f"bad value for {key!r} on line {lineno}: {exc}")
     if "mode" not in kw:
@@ -216,6 +205,10 @@ def window_length(k: int, beta: Beta, n: int) -> int:
     return k * n
 
 
+# k -> certificate mode of the rank campaign; every other k gets "half"
+RANK_CERTIFICATES = {2: "k2", 3: "3cut"}
+
+
 def _rank_trial(args):
     cfg, n, phi, trial = args
     inst, tau0, sstr = _trial_setup(cfg, n, phi, trial)
@@ -230,33 +223,24 @@ def _rank_trial(args):
         return {**base, "status": "skip", "ell": len(trace), "s": "", "c": "",
                 "rank": "", "bound": "", "cert_arcs": "", "violation": ""}
     window_moves = trace.moves[:w]
-    if cfg.k == 2:
+    mode = RANK_CERTIFICATES.get(cfg.k, "half")
+    if mode == "k2":
         block = find_critical_block(window_moves, cfg.beta)
-        sub = slice_trace(trace, block.t1, block.t2)
-        stats = occurrence_stats(sub.moves)
-        bound = cfg.beta.ceil_rank_bound(stats.s)
-        graph, _ = build_k2_certificate(sub, cfg.beta)
-        mode = "pairs"
-    elif cfg.k == 3:
+    elif mode == "3cut":
         block = two_critical_block(window_moves)
-        sub = slice_trace(trace, block.t1, block.t2)
-        stats = occurrence_stats(sub.moves)
-        bound = -(-stats.s // 32)
-        graph, _ = build_3cut_certificate(sub, check_rank=False)
-        mode = "cycles"
     else:
-        sub = slice_trace(trace, 1, w)
-        stats = occurrence_stats(sub.moves)
-        cyc, _ = classify_cyclic(sub.moves, cfg.k)
-        bound = -(-len(cyc) // 2)
-        graph, _ = build_half_certificate(sub, check_rank=False)
-        mode = "cycles"
-    cyc_sub, _ = classify_cyclic(sub.moves, cfg.k)
-    rank = exact_rank(build_P(sub, mode))
-    verdict = validate_certificate(graph, sub)
+        block = BlockView(window_moves, 1, w)
+    sub = slice_trace(trace, block.t1, block.t2)
+    stats = occurrence_stats(sub.moves)
+    cyc, _ = classify_cyclic(sub.moves, cfg.k)
+    # the lemma's rank lower bound for the block, beside the certificate's own
+    bound = {"k2": cfg.beta.ceil_rank_bound(stats.s), "3cut": -(-stats.s // 32),
+             "half": -(-len(cyc) // 2)}[mode]
+    graph, _, verdict = certify(sub, mode, cfg.beta)
+    rank = exact_rank(build_P(sub, "pairs" if cfg.k == 2 else "cycles"))
     violation = int(rank < bound or rank < graph.n_arcs or not verdict.valid)
     return {**base, "status": "ok", "ell": len(sub.moves), "s": stats.s,
-            "c": len(cyc_sub), "rank": rank, "bound": bound,
+            "c": len(cyc), "rank": rank, "bound": bound,
             "cert_arcs": graph.n_arcs, "violation": violation}
 
 

@@ -143,15 +143,21 @@ class Instance:
         head = lines[0].split()
         if len(head) != 5:
             raise ModelError("malformed instance header")
-        n, k, denom = int(head[0]), int(head[1]), int(head[2])
-        phi = Fraction(head[3])
-        complete = bool(int(head[4]))
+        try:
+            n, k, denom = int(head[0]), int(head[1]), int(head[2])
+            phi = Fraction(head[3])
+            complete = bool(int(head[4]))
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"non-numeric instance header {lines[0][:60]!r}") from None
         edges, nums = [], []
         for lineno, ln in enumerate(lines[1:], start=2):
             parts = ln.split()
             if len(parts) != 3:
                 raise ModelError(f"malformed edge line {lineno}")
-            u, v, num = int(parts[0]), int(parts[1]), int(parts[2])
+            try:
+                u, v, num = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ModelError(f"non-integer token on edge line {lineno}") from None
             if u > v:
                 u, v = v, u
             edges.append((u, v))

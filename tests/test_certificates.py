@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import flipbench as fb
-from flipbench.certificates import Arc, CertificateGraph, witness_entry
+from flipbench import matrices
+from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
 from conftest import random_tau0, run_random, smoothed_instance, synth_traces
@@ -22,8 +23,8 @@ def test_good_arc_odd_parity():
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1)])
     good, wit = fb.is_good_arc(trace, 0, 1)
     assert good and wit == (1, 3)
-    arc = Arc(v=0, u=1, witness=wit)
-    assert witness_entry(trace, arc) != 0
+    e = trace.instance.edge_index(0, 1)
+    assert fb.columns_for(trace, [wit]).entry(e, 0) != 0
 
 
 def test_good_arc_even_parity_fails():
@@ -32,7 +33,8 @@ def test_good_arc_even_parity_fails():
                        fb.Move(1, 2, 1), fb.Move(0, 2, 1)])
     good, wit = fb.is_good_arc(trace, 0, 1)
     assert not good and wit is None
-    assert witness_entry(trace, Arc(v=0, u=1, witness=(1, 4))) == 0
+    e = trace.instance.edge_index(0, 1)
+    assert fb.columns_for(trace, [(1, 4)]).entry(e, 0) == 0
 
 
 def test_good_arc_requires_edge_and_sane_endpoints():
@@ -64,7 +66,7 @@ def test_good_arc_general_k_matches_cycle_scan():
                            for c in cyc_set.over(v))
                 assert good == want
                 if good:
-                    assert witness_entry(trace, Arc(v, u, wit)) != 0
+                    assert fb.columns_for(trace, [wit]).entry(e, 0) != 0
 
 
 def _collect_k2_blocks(want, seed0=0, with_singletons=True):
@@ -84,32 +86,6 @@ def _collect_k2_blocks(want, seed0=0, with_singletons=True):
             continue
         out.append(sub)
     return out
-
-
-def test_singleton_path_yields_good_arcs():
-    blocks = _collect_k2_blocks(5)
-    assert len(blocks) == 5
-    checked = 0
-    for sub in blocks:
-        stats = fb.occurrence_stats(sub.moves)
-        for v in sorted(stats.repeating)[:2]:
-            path = fb.singleton_path(sub.moves, v)
-            assert path and path[0].v == v
-            assert path[-1].u in stats.singletons
-            for a, b in zip(path, path[1:]):
-                assert a.u == b.v
-            for arc in path:
-                assert witness_entry(sub, arc) != 0
-            checked += 1
-    assert checked >= 3
-
-
-def test_singleton_path_argument_errors():
-    trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1)])
-    with pytest.raises(fb.CertificateError):
-        fb.singleton_path(trace.moves, 1)  # singleton
-    with pytest.raises(fb.CertificateError):
-        fb.singleton_path(trace.moves, 2)  # does not move
 
 
 def test_k2_certificate_on_natural_blocks():
@@ -195,6 +171,15 @@ def test_half_certificate_refuses_non_improving():
         fb.build_half_certificate(bad)
 
 
+def test_certify_dispatches_by_mode():
+    trace = run_random(12, 4, 606)
+    graph, bound = fb.build_half_certificate(trace, check_rank=False)
+    verdict = fb.validate_certificate(graph, trace)
+    assert fb.certify(trace, "half", Beta.sqrt_half()) == (graph, bound, verdict)
+    with pytest.raises(fb.CertificateError):
+        fb.certify(trace, "k4", Beta.sqrt_half())
+
+
 def test_validate_rejects_fabricated_arcs():
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2),
                        fb.Move(1, 2, 1), fb.Move(0, 2, 1)])
@@ -255,3 +240,52 @@ def test_bound_tradeoff_identity():
         a = (1 - lam) / 2
         b = lam / 18 - (1 - lam) / 3
         assert max(a, b) >= Fraction(1, 32)
+
+
+def _leaping_k3_trace(b):
+    """Vertex 0 flips between parts 1 and 2 b times; between two of its
+    moves one fresh vertex moves 1 -> 3 once, so vertex 0 alone is cyclic,
+    sits in b cyclic blocks and has (b-1)//3 leaping windows."""
+    moves = [fb.Move(0, 1 + i % 2, 2 - i % 2) for i in range(b)]
+    for u in range(b - 1, 0, -1):
+        moves.insert(u, fb.Move(u, 1, 3))
+    return fb.replay(smoothed_instance(b, 3, 77), tuple([1] * b), moves)
+
+
+def test_step_matrix_built_once_per_certificate(monkeypatch):
+    # every construction reads all its witness columns off one step matrix;
+    # validation needs one more for P
+    calls = []
+    real_build_m = matrices.build_M
+
+    def counting_build_m(trace):
+        calls.append(trace)
+        return real_build_m(trace)
+
+    monkeypatch.setattr(matrices, "build_M", counting_build_m)
+
+    def builds(fn, *args, **kw):
+        calls.clear()
+        fn(*args, **kw)
+        return len(calls)
+
+    multi = 0
+    for seed in range(10):
+        trace = run_random(14, 4, 600 + seed)
+        cyc, _ = fb.classify_cyclic(trace.moves, 4)
+        assert builds(fb.build_half_certificate, trace, check_rank=False) == 1
+        graph, _ = fb.build_half_certificate(trace, check_rank=False)
+        assert builds(fb.validate_certificate, graph, trace) <= 2
+        multi += len(cyc) >= 2
+    assert multi >= 3
+
+    trace = _leaping_k3_trace(13)
+    assert builds(fb.neighborwise_arcs_3cut, trace, 0) == 1
+    arcs = fb.neighborwise_arcs_3cut(trace, 0)
+    assert len({arc.witness for arc in arcs}) >= 2
+    graph = CertificateGraph(arcs_by_tail={0: tuple(arcs)})
+    assert fb.validate_certificate(graph, trace).valid
+    assert builds(fb.validate_certificate, graph, trace) <= 2
+    assert len(fb.cycles(trace.moves, 3).over(0)) >= 2
+    for u in range(1, trace.instance.n):
+        assert builds(fb.is_good_arc, trace, 0, u) == 1

@@ -101,3 +101,16 @@ def test_bad_instance_file_exits_2(tmp_path, capsys):
     bad.write_text("not an instance\n")
     assert main(["run", "--instance", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_instance_file_exits_2(tmp_path, capsys):
+    assert main(["run", "--instance", str(tmp_path / "absent.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.txt" in err
+
+
+def test_non_integer_instance_header_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4 2 1048576 1 x\n0 1 5\n")
+    assert main(["run", "--instance", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

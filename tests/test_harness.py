@@ -1,13 +1,15 @@
 """Experiment harness: config parsing, seeds, bounds, MC, CSV determinism."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 import flipbench as fb
-from flipbench.harness import (ExperimentConfig, derive_seed, exp_scaling,
-                               window_length)
+from flipbench import harness
+from flipbench.harness import (CONFIG_FIELDS, ExperimentConfig, derive_seed,
+                               exp_scaling, window_length)
 from flipbench.thresholds import Beta
 
 
@@ -36,9 +38,9 @@ def test_parse_config_full():
 def test_parse_config_errors():
     with pytest.raises(fb.HarnessError):
         fb.parse_config("n_grid 8\n")          # missing mode
-    with pytest.raises(fb.HarnessError):
+    with pytest.raises(fb.HarnessError, match="unknown config key 'what' on line 2"):
         fb.parse_config("mode scaling\nwhat 3\n")
-    with pytest.raises(fb.HarnessError):
+    with pytest.raises(fb.HarnessError, match="bad value for 'n_grid' on line 2"):
         fb.parse_config("mode scaling\nn_grid x,y\n")
     with pytest.raises(fb.HarnessError):
         fb.parse_config("mode warp\n")
@@ -46,6 +48,10 @@ def test_parse_config_errors():
         ExperimentConfig(mode="scaling", trials=0)
     with pytest.raises(fb.HarnessError):
         ExperimentConfig(mode="scaling", n_grid=())
+
+
+def test_config_table_covers_every_field():
+    assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -140,6 +146,24 @@ def test_rank_campaign_rows_have_status():
         assert r["status"] in ("ok", "skip")
         if r["status"] == "ok":
             assert r["violation"] == 0
+
+
+def test_rank_campaign_certifies_reached_windows(monkeypatch):
+    # natural desk-scale traces stop short of the lemma window; half the
+    # lemma window sends them down the certificate path
+    monkeypatch.setattr(harness, "window_length", lambda k, beta, n: n // 2)
+    rows = []
+    for seed in (0, 12, 13, 22):  # k=2 seeds whose window holds a critical block
+        cfg = ExperimentConfig(mode="rank", n_grid=(24,), k=2, trials=1, seed=seed)
+        rows += fb.exp_rank_campaign(cfg)[1]
+    cfg = ExperimentConfig(mode="rank", n_grid=(24,), k=4, trials=4, seed=0)
+    rows += fb.exp_rank_campaign(cfg)[1]
+    assert len(rows) == 8
+    for r in rows:
+        assert r["status"] == "ok" and r["violation"] == 0
+        assert r["rank"] >= r["cert_arcs"]
+    assert all(r["cert_arcs"] > 0 for r in rows[:4])
+    assert sum(r["cert_arcs"] for r in rows[4:]) > 0
 
 
 def test_mc_experiment_within_tolerance():
