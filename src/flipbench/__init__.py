@@ -10,15 +10,13 @@ from .model import (DEFAULT_DENOM, Instance, InvalidMoveError, ModelError,
 from .thresholds import Beta
 from .generator import SmoothingProfile, build_graph, make_instance
 from .engine import (PivotRule, ReplayError, Trace, replay, run_flip,
-                     slice_trace, trace_from_text, trace_to_text, verify_trace,
-                     window_stats)
+                     slice_trace, trace_from_text, trace_to_text, verify_trace)
 from .analysis import (BlockNotFoundError, BlockView, Cycle, CycleSet, Pair,
                        classify_cyclic, cycles, cyclic_acyclic_blocks,
                        find_alpha_cyclic_block, find_critical_block,
-                       max_surplus, occurrence_stats, pairs, surplus,
+                       occurrence_stats, pairs, surplus,
                        transition_singleton_blocks, two_critical_block)
-from .matrices import (SignMatrix, build_M, build_P, columns_for,
-                       cumulative_event, exact_rank, per_step_event,
+from .matrices import (SignMatrix, build_M, build_P, columns_for, exact_rank,
                        weighted_column_sums)
 from .certificates import (Arc, CertificateError, CertificateGraph,
                            build_3cut_certificate, build_half_certificate,

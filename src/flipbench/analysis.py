@@ -93,9 +93,6 @@ class Cycle:
     times: tuple   # increasing 1-based time-steps
     parts: tuple   # departed parts p_{t_1}, ..., p_{t_w} (all distinct)
 
-    def __len__(self):
-        return len(self.times)
-
 
 @dataclass(frozen=True)
 class CycleSet:
@@ -184,10 +181,6 @@ class Segment:
     t2: int
     special: bool  # True for transition (k=2) / cyclic (general k) runs
 
-    @property
-    def length(self) -> int:
-        return self.t2 - self.t1 + 1
-
 
 def _alternating(moves: Sequence[Move], special: set):
     segments = []
@@ -217,20 +210,6 @@ def cyclic_acyclic_blocks(moves: Sequence[Move], k: int):
     return _alternating(moves, cyc)
 
 
-def block_occurrence_counts(moves: Sequence[Move], segments):
-    """b(v): in how many special segments each vertex occurs."""
-    counts: dict = {}
-    for seg in segments:
-        if not seg.special:
-            continue
-        seen = set()
-        for t in range(seg.t1, seg.t2 + 1):
-            seen.add(moves[t - 1].v)
-        for v in seen:
-            counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True)
 class BlockView:
     """An index range [t1, t2] into a parent move sequence (1-based)."""
@@ -253,10 +232,6 @@ class BlockView:
 
     def stats(self) -> OccurrenceStats:
         return occurrence_stats(self.seq)
-
-    def to_parent_time(self, t: int) -> int:
-        """Map a 1-based time within the block to the parent sequence."""
-        return self.t1 + t - 1
 
 
 # --- critical blocks ---------------------------------------------------------
@@ -309,18 +284,6 @@ def surplus(moves: Sequence[Move], k: int) -> int:
     cyc, acyc = classify_cyclic(moves, k)
     stats = occurrence_stats(moves)
     return len(moves) - sum(stats.counts[v] for v in acyc) - len(cyc)
-
-
-def max_surplus(moves: Sequence[Move], k: int, t: int) -> int:
-    """m_L(t): maximum surplus over all blocks of length t."""
-    if t < 1 or t > len(moves):
-        raise ModelError("block length out of range")
-    best = None
-    for start in range(len(moves) - t + 1):
-        z = surplus(moves[start:start + t], k)
-        if best is None or z > best:
-            best = z
-    return best
 
 
 def cyclic_ratio_qualifies(c: int, length: int, k: int, alpha: Fraction, n: int) -> bool:

@@ -541,8 +541,11 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     # witness entries and staircase, on one column per distinct witness;
     # columns hold nonzero entries only
     witnesses = tuple(dict.fromkeys(arc.witness for arc in arcs))
-    wit_cols = {wit: dict(col) for wit, col
-                in zip(witnesses, columns_for(trace, witnesses).cols)}
+    try:
+        mat = columns_for(trace, witnesses)
+    except ModelError as exc:
+        return Verdict(valid=False, rank_bound=0, reason=f"witness {exc}")
+    wit_cols = {wit: dict(col) for wit, col in zip(witnesses, mat.cols)}
 
     rows_of: dict = {}
     for arc in arcs:

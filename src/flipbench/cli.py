@@ -15,8 +15,9 @@ from .analysis import (classify_cyclic, cycles, cyclic_acyclic_blocks,
                        find_critical_block, occurrence_stats, surplus,
                        transition_singleton_blocks)
 from .certificates import BUILDERS, certify
-from .engine import DEFAULT_CAP, PivotRule, run_flip, trace_from_text, trace_to_text
-from .harness import parse_config, rows_to_csv, run_experiment
+from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip,
+                     trace_from_text, trace_to_text)
+from .harness import EXPERIMENTS, parse_config, rows_to_csv, run_experiment
 from .model import Instance, ModelError, parse_configuration
 from .thresholds import Beta
 
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run FLIP on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rule", default="best", choices=["first", "best", "random"])
+    p.add_argument("--rule", default="best", choices=PIVOT_RULES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--tau0", default=None, help="file with a start configuration")
@@ -149,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("experiment", help="batch campaign to CSV")
-    p.add_argument("--mode", default=None,
-                   choices=["scaling", "rank", "mc", "approx"])
+    p.add_argument("--mode", default=None, choices=list(EXPERIMENTS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_experiment)

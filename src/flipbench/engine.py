@@ -1,4 +1,4 @@
-"""FLIP execution engine: pivot rules, validated traces, replay, windows.
+"""FLIP execution engine: pivot rules, validated traces, replay, trace files.
 
 A run keeps, for every vertex, the total weight numerator towards each
 part in a numpy array, so scoring all n*k moves is one vectorised pass
@@ -19,6 +19,7 @@ from .model import (Instance, ModelError, Move, apply_move, check_configuration,
                     hamiltonian, parse_configuration)
 
 DEFAULT_CAP = 10 ** 8
+PIVOT_RULES = ("first", "best", "random")
 
 
 class ReplayError(ModelError):
@@ -43,7 +44,7 @@ class PivotRule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in ("first", "best", "random"):
+        if self.variant not in PIVOT_RULES:
             raise ModelError(f"unknown pivot rule {self.variant!r}")
 
 
@@ -68,13 +69,6 @@ class Trace:
     @property
     def delta_nums(self):
         return tuple(d for _, d in self.steps)
-
-    def delta(self, t: int) -> Fraction:
-        """Improvement of step t (1-based)."""
-        return Fraction(self.steps[t - 1][1], self.instance.denom)
-
-    def total_improvement(self) -> Fraction:
-        return Fraction(sum(self.delta_nums), self.instance.denom)
 
     def configurations(self):
         """tau_0, tau_1, ..., tau_ell."""
@@ -168,13 +162,12 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
                  step_cap_hit=cap_hit, rule=rule.variant, seed=rule.seed)
 
 
-def replay(inst: Instance, tau0, moves: Iterable[Move], strict: bool = True) -> Trace:
+def replay(inst: Instance, tau0, moves: Iterable[Move]) -> Trace:
     """Validate and score an externally supplied move sequence.
 
-    With strict=True (default) the first invalid move raises ReplayError
-    carrying its 1-based step index; with strict=False the trace is
-    truncated there instead.  Replayed traces may contain non-improving
-    steps; callers that need strict improvement must check deltas.
+    The first invalid move raises ReplayError carrying its 1-based step
+    index.  Replayed traces may contain non-improving steps; callers that
+    need strict improvement must check deltas.
     """
     state = _State(inst, tau0)
     steps = []
@@ -184,11 +177,9 @@ def replay(inst: Instance, tau0, moves: Iterable[Move], strict: bool = True) -> 
               and 1 <= move.q <= inst.k and move.p != move.q
               and state.tau[move.v] == move.p)
         if not ok:
-            if strict:
-                reason = (f"vertex in part {state.tau[move.v]}"
-                          if 0 <= move.v < inst.n else "vertex out of range")
-                raise ReplayError(t, move, reason)
-            break
+            reason = (f"vertex in part {state.tau[move.v]}"
+                      if 0 <= move.v < inst.n else "vertex out of range")
+            raise ReplayError(t, move, reason)
         steps.append((move, state.delta_num(move.v, move.q)))
         state.apply(move)
     return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(steps),
@@ -202,36 +193,6 @@ def slice_trace(trace: Trace, t1: int, t2: int) -> Trace:
         raise ModelError(f"slice [{t1},{t2}] out of range")
     tau = trace.configuration_at(t1 - 1)
     return replay(trace.instance, tau, trace.moves[t1 - 1:t2])
-
-
-@dataclass(frozen=True)
-class WindowRecord:
-    start: int             # 1-based first step of the window
-    length: int
-    total_num: int         # cumulative improvement numerator (section-3 sense)
-    max_step_num: int      # largest single-step improvement (section-4 sense)
-    truncated: bool = False
-
-
-def window_stats(trace: Trace, w: int):
-    """Disjoint windows of length w with both slowness statistics.
-
-    Each record carries the window's total improvement (gate for the
-    cumulative slowness definition) and its maximum single-step
-    improvement (gate for the per-step definition).  A trailing partial
-    window, or a w longer than the trace, yields one truncated record.
-    """
-    if w < 1:
-        raise ModelError("window length must be >= 1")
-    nums = trace.delta_nums
-    out = []
-    for start in range(0, len(nums), w):
-        chunk = nums[start:start + w]
-        out.append(WindowRecord(start=start + 1, length=len(chunk),
-                                total_num=sum(chunk),
-                                max_step_num=max(chunk, default=0),
-                                truncated=len(chunk) < w))
-    return out
 
 
 # --- trace files -------------------------------------------------------------

@@ -51,71 +51,29 @@ class SmoothingProfile:
         return c - half, c + half
 
 
-def parse_profile(text: str) -> SmoothingProfile:
-    """Profile file: `phi <rational>`, `seed <u64>`, optional `centers <path>`."""
-    phi = None
-    seed = None
-    centers = ()
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, _, value = ln.partition(" ")
-        value = value.strip()
-        if key == "phi":
-            phi = Fraction(value)
-        elif key == "seed":
-            seed = int(value)
-        elif key == "centers":
-            with open(value) as fh:
-                centers = tuple(Fraction(tok) for tok in fh.read().split())
-        else:
-            raise GeneratorError(f"unknown profile key {key!r} on line {lineno}")
-    if phi is None or seed is None:
-        raise GeneratorError("profile requires both phi and seed")
-    return SmoothingProfile(phi=phi, seed=seed, centers=centers)
+GRAPH_KINDS = ("complete", "gnp")
 
 
-def build_graph(kind: str, n: int, p: float | None = None,
-                edges=None, seed: int = 0):
-    """Edge set of a simple graph: complete, G(n,p), or an explicit list.
+def build_graph(kind: str, n: int, p: float | None = None, seed: int = 0):
+    """Edge set of a simple graph: complete or G(n,p).
 
     gnp inclusion of each pair is a pure function of (seed, pair index),
     so the same seed always yields the same graph.
     """
+    if kind not in GRAPH_KINDS:
+        raise GeneratorError(f"unknown graph kind {kind!r}")
     if n < 2:
         raise GeneratorError("need n >= 2")
     if kind == "complete":
         return complete_edges(n)
-    if kind == "gnp":
-        if p is None or not 0 <= p <= 1:
-            raise GeneratorError("gnp requires p in [0,1]")
-        out = []
-        for idx, (u, v) in enumerate(complete_edges(n)):
-            rng = random.Random(f"gnp:{seed}:{idx}")
-            if rng.random() < p:
-                out.append((u, v))
-        return tuple(out)
-    if kind == "edge-list":
-        if edges is None:
-            raise GeneratorError("edge-list mode requires edges")
-        out = []
-        seen = set()
-        for lineno, e in enumerate(edges, start=1):
-            try:
-                u, v = int(e[0]), int(e[1])
-            except (TypeError, ValueError, IndexError):
-                raise GeneratorError(f"malformed edge on line {lineno}: {e!r}")
-            if u > v:
-                u, v = v, u
-            if u == v or not 0 <= u < n or not v < n:
-                raise GeneratorError(f"bad edge on line {lineno}: ({u},{v})")
-            if (u, v) in seen:
-                raise GeneratorError(f"duplicate edge on line {lineno}: ({u},{v})")
-            seen.add((u, v))
+    if p is None or not 0 <= p <= 1:
+        raise GeneratorError("gnp requires p in [0,1]")
+    out = []
+    for idx, (u, v) in enumerate(complete_edges(n)):
+        rng = random.Random(f"gnp:{seed}:{idx}")
+        if rng.random() < p:
             out.append((u, v))
-        return tuple(out)
-    raise GeneratorError(f"unknown graph kind {kind!r}")
+    return tuple(out)
 
 
 def grid_bounds(profile: SmoothingProfile, i: int, denom: int):
@@ -138,11 +96,9 @@ def sample_weights(edges, profile: SmoothingProfile, denom: int = DEFAULT_DENOM)
 
 
 def make_instance(kind: str, n: int, k: int, profile: SmoothingProfile,
-                  p: float | None = None, edges=None,
-                  denom: int = DEFAULT_DENOM, graph_seed: int | None = None) -> Instance:
+                  p: float | None = None, denom: int = DEFAULT_DENOM) -> Instance:
     """Build a graph and sample smoothed weights for it in one step."""
-    es = build_graph(kind, n, p=p, edges=edges,
-                     seed=profile.seed if graph_seed is None else graph_seed)
+    es = build_graph(kind, n, p=p, seed=profile.seed)
     nums = sample_weights(es, profile, denom=denom)
     return Instance(n=n, k=k, edges=es, weight_nums=nums, denom=denom,
                     phi=profile.phi, complete=(kind == "complete"))

@@ -23,8 +23,8 @@ import numpy as np
 from .analysis import (BlockView, classify_cyclic, find_critical_block,
                        occurrence_stats, two_critical_block)
 from .certificates import certify
-from .engine import DEFAULT_CAP, PivotRule, run_flip, slice_trace
-from .generator import SmoothingProfile, make_instance
+from .engine import DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip, slice_trace
+from .generator import GRAPH_KINDS, SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank
 from .model import Instance, ModelError, cut_value, hamiltonian
 from .thresholds import Beta
@@ -38,7 +38,7 @@ class HarnessError(ModelError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str                      # scaling | rank | mc | approx
+    mode: str                      # a key of EXPERIMENTS
     n_grid: tuple = (8,)
     k: int = 2
     phi_grid: tuple = (Fraction(1),)
@@ -55,20 +55,37 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("scaling", "rank", "mc", "approx"):
+        if self.mode not in EXPERIMENTS:
             raise HarnessError(f"unknown experiment mode {self.mode!r}")
         if not self.n_grid or not self.phi_grid:
             raise HarnessError("n and phi grids must be non-empty")
         if self.trials < 1:
             raise HarnessError("need at least one trial")
+        if self.rule not in PIVOT_RULES:
+            raise HarnessError(f"unknown pivot rule {self.rule!r}")
+        if self.k < 2:
+            raise HarnessError(f"part count k={self.k} must be at least 2")
+        if self.graph not in GRAPH_KINDS:
+            raise HarnessError(f"unknown graph kind {self.graph!r}")
+        if not 0 <= self.p <= 1:
+            raise HarnessError(f"edge probability p={self.p} outside [0,1]")
+        if self.cap < 0 or self.jobs < 1 or self.samples < 1:
+            raise HarnessError(f"need cap >= 0, jobs >= 1, samples >= 1; got "
+                               f"cap={self.cap} jobs={self.jobs} samples={self.samples}")
+        if min(self.n_grid) < 2:
+            raise HarnessError("every n in n_grid must be at least 2")
+        # phi >= 1/2 as an integer test: exact for int, Fraction and float
+        phi_num, phi_den = min(self.phi_grid).as_integer_ratio()
+        if 2 * phi_num < phi_den:
+            raise HarnessError("every phi in phi_grid must be at least 1/2")
 
 
 # config key -> converter from its value text; one entry per config field
 CONFIG_FIELDS = {
     "mode": str,
-    "n_grid": lambda v: tuple(int(x) for x in v.split(",")),
+    "n_grid": lambda v: tuple(map(int, v.split(","))),
     "k": int,
-    "phi_grid": lambda v: tuple(Fraction(x) for x in v.split(",")),
+    "phi_grid": lambda v: tuple(map(Fraction, v.split(","))),
     "beta": Beta.parse,
     "trials": int,
     "rule": str,
@@ -402,14 +419,17 @@ def _fan_out(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
+# experiment mode -> campaign(cfg) -> (CSV fields, rows)
+EXPERIMENTS = {
+    "scaling": exp_scaling,
+    "rank": exp_rank_campaign,
+    "mc": exp_mc,
+    "approx": approx_check,
+}
+
+
 def run_experiment(cfg: ExperimentConfig):
-    if cfg.mode == "scaling":
-        return exp_scaling(cfg)
-    if cfg.mode == "rank":
-        return exp_rank_campaign(cfg)
-    if cfg.mode == "mc":
-        return exp_mc(cfg)
-    return approx_check(cfg)
+    return EXPERIMENTS[cfg.mode](cfg)
 
 
 def rows_to_csv(fields, rows) -> str:

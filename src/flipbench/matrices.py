@@ -1,4 +1,4 @@
-"""Edge-by-time sign matrices, combined columns, exact rank, slow events.
+"""Edge-by-time sign matrices, combined columns, exact rank.
 
 The step matrix M has one row per edge and one column per time-step;
 column t is supported on the edges incident to the moving vertex, with
@@ -13,11 +13,10 @@ the surviving entries do not depend on the starting configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .analysis import CycleSet, TruncatedCycleSetError, cycles, pairs
 from .engine import Trace
-from .model import ModelError
+from .model import ModelError, step_column
 
 
 @dataclass(frozen=True)
@@ -61,36 +60,6 @@ class SignMatrix:
                 rows.add(r)
         return rows
 
-    def to_text(self) -> str:
-        lines = [f"{self.n_rows} {self.n_cols}"]
-        for j, col in enumerate(self.cols):
-            for r, val in col:
-                lines.append(f"{r} {j} {val}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SignMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        if not lines:
-            raise ModelError("empty matrix file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ModelError("malformed matrix header")
-        n_rows, n_cols = int(head[0]), int(head[1])
-        buckets: dict = {}
-        for lineno, ln in enumerate(lines[1:], start=2):
-            tok = ln.split()
-            if len(tok) != 3:
-                raise ModelError(f"malformed matrix entry on line {lineno}")
-            r, j, val = int(tok[0]), int(tok[1]), int(tok[2])
-            if not (0 <= r < n_rows and 0 <= j < n_cols):
-                raise ModelError(f"matrix entry out of range on line {lineno}")
-            buckets.setdefault(j, {})[r] = val
-        cols = tuple(
-            tuple(sorted((r, v) for r, v in buckets.get(j, {}).items() if v != 0))
-            for j in range(n_cols))
-        return cls(n_rows=n_rows, cols=cols)
-
 
 def build_M(trace: Trace) -> SignMatrix:
     """Step matrix of a trace; <column t, X> equals the step-t improvement."""
@@ -98,20 +67,13 @@ def build_M(trace: Trace) -> SignMatrix:
     tau = list(trace.tau0)
     cols = []
     for move, _ in trace.steps:
-        col = []
-        for u, e_idx, _ in inst.neighbors(move.v):
-            if tau[u] == move.p:
-                col.append((e_idx, 1))
-            elif tau[u] == move.q:
-                col.append((e_idx, -1))
-        col.sort()
-        cols.append(tuple(col))
+        cols.append(step_column(inst, tau, move))
         tau[move.v] = move.q
     return SignMatrix(n_rows=inst.m, cols=tuple(cols),
                       col_labels=tuple(range(1, len(cols) + 1)))
 
 
-def _combine(m_cols, time_lists, n_rows):
+def _combine(m_cols, time_lists):
     cols = []
     for ts in time_lists:
         acc: dict = {}
@@ -143,16 +105,20 @@ def build_P(trace: Trace, mode: str, cycle_set: CycleSet | None = None) -> SignM
         time_lists = [c.times for c in labels]
     else:
         raise ModelError(f"unknown combine mode {mode!r}")
-    return SignMatrix(n_rows=m.n_rows, cols=_combine(m.cols, time_lists, m.n_rows),
+    return SignMatrix(n_rows=m.n_rows, cols=_combine(m.cols, time_lists),
                       col_labels=labels)
 
 
 def columns_for(trace: Trace, time_lists) -> SignMatrix:
     """Combined columns for explicit 1-based time-step groups."""
+    time_lists = tuple(tuple(ts) for ts in time_lists)
+    for ts in time_lists:
+        for t in ts:
+            if not 1 <= t <= len(trace):
+                raise ModelError(f"time-step {t} outside 1..{len(trace)}")
     m = build_M(trace)
-    return SignMatrix(n_rows=m.n_rows,
-                      cols=_combine(m.cols, [tuple(ts) for ts in time_lists], m.n_rows),
-                      col_labels=tuple(tuple(ts) for ts in time_lists))
+    return SignMatrix(n_rows=m.n_rows, cols=_combine(m.cols, time_lists),
+                      col_labels=time_lists)
 
 
 # --- exact rank --------------------------------------------------------------
@@ -207,7 +173,7 @@ def exact_rank(mat) -> int:
     return rank
 
 
-# --- slowness events ---------------------------------------------------------
+# --- improvements ------------------------------------------------------------
 
 def weighted_column_sums(mat: SignMatrix, weight_nums) -> tuple:
     """Numerators of <column, X> for every column."""
@@ -215,20 +181,3 @@ def weighted_column_sums(mat: SignMatrix, weight_nums) -> tuple:
     for col in mat.cols:
         out.append(sum(val * weight_nums[r] for r, val in col))
     return tuple(out)
-
-
-def cumulative_event(col_sums, denom: int, eps: Fraction) -> bool:
-    """Every combined improvement positive and their total at most 2*eps."""
-    if not col_sums:
-        return False
-    if any(s <= 0 for s in col_sums):
-        return False
-    return Fraction(sum(col_sums), denom) <= 2 * Fraction(eps)
-
-
-def per_step_event(col_sums, denom: int, eps: Fraction, k: int) -> bool:
-    """Every combined improvement in the interval (0, k*eps]."""
-    if not col_sums:
-        return False
-    bound = k * Fraction(eps)
-    return all(s > 0 and Fraction(s, denom) <= bound for s in col_sums)

@@ -121,9 +121,6 @@ class Instance:
             object.__setattr__(self, "_weights", w)
         return self._weights
 
-    def weight(self, i: int) -> Fraction:
-        return Fraction(self.weight_nums[i], self.denom)
-
     def total_weight(self) -> Fraction:
         return Fraction(sum(self.weight_nums), self.denom)
 
@@ -191,11 +188,6 @@ def parse_configuration(text: str) -> Configuration:
         return tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ModelError(f"non-integer part label in {text.strip()[:60]!r}") from None
-
-
-def sign_view(tau: Sequence[int]) -> tuple:
-    """k=2 view: part 1 -> +1, part 2 -> -1."""
-    return tuple(1 if p == 1 else -1 for p in tau)
 
 
 # --- simplex frame -----------------------------------------------------------
@@ -271,20 +263,26 @@ def validate_move(inst: Instance, tau: Sequence[int], m: Move) -> None:
         raise InvalidMoveError(m, f"vertex {m.v} is in part {tau[m.v]}, not {m.p}")
 
 
-def move_delta_num(inst: Instance, tau: Sequence[int], m: Move) -> int:
-    """Numerator of H(apply(tau,m)) - H(tau) over inst.denom.
+def step_column(inst: Instance, tau: Sequence[int], m: Move) -> tuple:
+    """The move's signed column: sorted (edge index, +/-1) pairs.
 
-    +num for neighbors in the departed part p, -num for neighbors in the
-    destination part q; other neighbors do not change crossing status.
+    +1 towards neighbors in the departed part p, -1 towards neighbors in
+    the destination part q; other neighbors do not change crossing status.
     """
-    total = 0
-    for u, _, num in inst.neighbors(m.v):
-        part = tau[u]
-        if part == m.p:
-            total += num
-        elif part == m.q:
-            total -= num
-    return total
+    col = []
+    for u, e, _ in inst.neighbors(m.v):
+        if tau[u] == m.p:
+            col.append((e, 1))
+        elif tau[u] == m.q:
+            col.append((e, -1))
+    col.sort()
+    return tuple(col)
+
+
+def move_delta_num(inst: Instance, tau: Sequence[int], m: Move) -> int:
+    """Numerator of H(apply(tau,m)) - H(tau) over inst.denom: the inner
+    product of the move's column with the weight numerators."""
+    return sum(val * inst.weight_nums[e] for e, val in step_column(inst, tau, m))
 
 
 def move_delta(inst: Instance, tau: Sequence[int], m: Move) -> Fraction:
@@ -312,16 +310,11 @@ def improving_moves(inst: Instance, tau: Sequence[int]):
     check_configuration(inst, tau)
     out = []
     for v in range(inst.n):
-        p = tau[v]
-        sums = {}
-        for u, _, num in inst.neighbors(v):
-            part = tau[u]
-            sums[part] = sums.get(part, 0) + num
-        depart = sums.get(p, 0)
         for q in range(1, inst.k + 1):
-            if q == p:
+            if q == tau[v]:
                 continue
-            d = depart - sums.get(q, 0)
+            m = Move(v, tau[v], q)
+            d = move_delta_num(inst, tau, m)
             if d > 0:
-                out.append((Move(v, p, q), Fraction(d, inst.denom)))
+                out.append((m, Fraction(d, inst.denom)))
     return out

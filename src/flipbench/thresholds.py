@@ -11,12 +11,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .model import ModelError
+
 
 @dataclass(frozen=True)
 class Beta:
     """Block-criticality parameter with exact threshold arithmetic."""
 
     rational: Fraction | None  # None means beta = 1/sqrt(2)
+
+    def __post_init__(self):
+        if self.rational is not None and self.rational <= 0:
+            raise ModelError(f"beta must be positive, got {self.rational}")
 
     @classmethod
     def sqrt_half(cls) -> "Beta":
@@ -31,7 +37,11 @@ class Beta:
         text = text.strip()
         if text in ("1/sqrt2", "1/sqrt(2)", "sqrt1_2", "0.7071"):
             return cls.sqrt_half()
-        return cls(rational=Fraction(text))
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"beta {text!r} is neither a rational nor 1/sqrt2") from None
+        return cls(rational=value)
 
     def __str__(self):
         return "1/sqrt(2)" if self.rational is None else str(self.rational)

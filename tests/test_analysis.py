@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 import flipbench as fb
-from flipbench.analysis import (block_occurrence_counts,
-                                cyclic_ratio_qualifies, max_surplus)
+from flipbench.analysis import cyclic_ratio_qualifies
 from flipbench.thresholds import Beta
 
 from conftest import random_moves
@@ -105,15 +104,6 @@ def test_block_decompositions_alternate_and_cover():
                     assert (v in stats.repeating) == seg.special
 
 
-def test_block_occurrence_counts():
-    # vertex 0 repeats and appears in two separate transition runs
-    moves = (fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1),
-             fb.Move(2, 1, 2), fb.Move(0, 1, 2), fb.Move(1, 2, 1))
-    segs = fb.transition_singleton_blocks(moves)
-    counts = block_occurrence_counts(moves, segs)
-    assert counts[0] == 2
-
-
 def _oracle_critical(moves, beta):
     ell = len(moves)
     for length in range(1, ell + 1):
@@ -169,11 +159,16 @@ def test_block_view():
     moves = random_moves(5, 2, 10, 5)
     view = fb.BlockView(parent=moves, t1=3, t2=7)
     assert view.seq == moves[2:7] and view.length == 5
-    assert view.to_parent_time(1) == 3 and view.to_parent_time(5) == 7
     with pytest.raises(fb.ModelError):
         fb.BlockView(parent=moves, t1=0, t2=4)
     with pytest.raises(fb.ModelError):
         fb.BlockView(parent=moves, t1=4, t2=11)
+
+
+def _surplus_by_definition(moves, k):
+    cyc, acyc = fb.classify_cyclic(moves, k)
+    stats = fb.occurrence_stats(moves)
+    return len(moves) - sum(stats.counts[v] for v in acyc) - len(cyc)
 
 
 def test_surplus_definition_and_max():
@@ -181,14 +176,12 @@ def test_surplus_definition_and_max():
         rng = random.Random(f"sp:{seed}")
         k = rng.choice([2, 3, 4])
         moves = random_moves(5, k, rng.randint(3, 15), 5000 + seed)
-        cyc, acyc = fb.classify_cyclic(moves, k)
-        stats = fb.occurrence_stats(moves)
-        want = len(moves) - sum(stats.counts[v] for v in acyc) - len(cyc)
-        assert fb.surplus(moves, k) == want
+        assert fb.surplus(moves, k) == _surplus_by_definition(moves, k)
+        # m_L(t), the largest surplus of a length-t block
         t = rng.randint(1, len(moves))
-        best = max(fb.surplus(moves[i:i + t], k)
-                   for i in range(len(moves) - t + 1))
-        assert max_surplus(moves, k, t) == best
+        blocks = [moves[i:i + t] for i in range(len(moves) - t + 1)]
+        assert max(fb.surplus(b, k) for b in blocks) == \
+            max(_surplus_by_definition(b, k) for b in blocks)
 
 
 def test_cyclic_ratio_qualifies_oracle():

@@ -189,6 +189,16 @@ def test_validate_rejects_fabricated_arcs():
     assert not verdict.valid and "zero" in verdict.reason
 
 
+def test_validate_rejects_witness_steps_outside_the_trace():
+    trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1),
+                       fb.Move(1, 2, 1)])
+    for witness, step in (((0, 2), 0), ((3, 5), 5)):
+        graph = CertificateGraph(arcs_by_tail={0: (Arc(0, 1, witness),)})
+        verdict = fb.validate_certificate(graph, trace)
+        assert not verdict.valid
+        assert f"time-step {step} outside 1..4" in verdict.reason
+
+
 def test_validate_rejects_directed_cycles_and_duplicate_rows():
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1),
                        fb.Move(1, 2, 1)])

@@ -114,3 +114,12 @@ def test_non_integer_instance_header_exits_2(tmp_path, capsys):
     bad.write_text("4 2 1048576 1 x\n0 1 5\n")
     assert main(["run", "--instance", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["abc", "-1", "0"])
+def test_bad_beta_exits_2(tmp_path, capsys, beta):
+    ipath, tpath = _write_trace(tmp_path, run_random(10, 2, 1))
+    assert main(["analyze", "--instance", ipath, "--trace", tpath,
+                 "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beta" in err

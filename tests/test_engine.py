@@ -1,4 +1,4 @@
-"""FLIP engine: termination, pivot rules, replay, windows, trace files."""
+"""FLIP engine: termination, pivot rules, replay, trace files."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,7 @@ def test_total_improvement_matches_hamiltonian_gap():
     trace = run_random(12, 2, 3)
     gap = fb.hamiltonian(trace.instance, trace.final_configuration()) \
         - fb.hamiltonian(trace.instance, trace.tau0)
-    assert trace.total_improvement() == gap
+    assert Fraction(sum(trace.delta_nums), trace.instance.denom) == gap
 
 
 def test_rules_agree_on_final_optimality():
@@ -87,8 +87,6 @@ def test_replay_invalid_move():
     with pytest.raises(fb.ReplayError) as ei:
         fb.replay(inst, tau0, bad)
     assert ei.value.step == 2
-    lax = fb.replay(inst, tau0, bad, strict=False)
-    assert len(lax) == 1
 
 
 def test_slice_trace():
@@ -102,20 +100,6 @@ def test_slice_trace():
         fb.slice_trace(trace, 0, 2)
     with pytest.raises(fb.ModelError):
         fb.slice_trace(trace, 3, len(trace) + 1)
-
-
-def test_window_stats():
-    trace = run_random(12, 2, 10)
-    recs = fb.window_stats(trace, 4)
-    assert sum(r.length for r in recs) == len(trace)
-    assert sum(r.total_num for r in recs) == sum(trace.delta_nums)
-    for r in recs[:-1]:
-        assert r.length == 4 and not r.truncated
-    assert recs[0].max_step_num == max(trace.delta_nums[:4])
-    long = fb.window_stats(trace, len(trace) + 5)
-    assert len(long) == 1 and long[0].truncated
-    with pytest.raises(fb.ModelError):
-        fb.window_stats(trace, 0)
 
 
 def test_trace_text_roundtrip():

@@ -6,8 +6,7 @@ import pytest
 
 import flipbench as fb
 from flipbench.generator import (GeneratorError, build_graph, grid_bounds,
-                                 parse_profile, sample_weight_num,
-                                 sample_weights)
+                                 sample_weight_num, sample_weights)
 
 
 def test_profile_validation():
@@ -55,13 +54,6 @@ def test_build_graph_kinds():
     assert g1 == build_graph("gnp", 10, p=0.5, seed=1)
     assert build_graph("gnp", 10, p=0.0, seed=1) == ()
     assert build_graph("gnp", 10, p=1.0, seed=1) == fb.complete_edges(10)
-    assert build_graph("edge-list", 4, edges=[(1, 0), (2, 3)]) == ((0, 1), (2, 3))
-    with pytest.raises(GeneratorError):
-        build_graph("edge-list", 4, edges=[(0, 0)])
-    with pytest.raises(GeneratorError):
-        build_graph("edge-list", 4, edges=[(0, 1), (1, 0)])
-    with pytest.raises(GeneratorError):
-        build_graph("edge-list", 4, edges=[(0, 9)])
     with pytest.raises(GeneratorError):
         build_graph("gnp", 4, p=2.0)
     with pytest.raises(GeneratorError):
@@ -75,16 +67,3 @@ def test_make_instance():
     assert inst.phi == 2
     inst2 = fb.make_instance("complete", 8, 3, prof)
     assert inst.content_hash() == inst2.content_hash()
-
-
-def test_parse_profile(tmp_path):
-    prof = parse_profile("# comment\nphi 3/2\nseed 11\n")
-    assert prof.phi == Fraction(3, 2) and prof.seed == 11
-    with pytest.raises(GeneratorError):
-        parse_profile("phi 1\n")
-    with pytest.raises(GeneratorError):
-        parse_profile("phi 1\nseed 0\nwhat 3\n")
-    cpath = tmp_path / "centers.txt"
-    cpath.write_text("1/4 -1/4\n")
-    prof = parse_profile(f"phi 2\nseed 0\ncenters {cpath}\n")
-    assert prof.centers == (Fraction(1, 4), Fraction(-1, 4))

@@ -50,6 +50,26 @@ def test_parse_config_errors():
         ExperimentConfig(mode="scaling", n_grid=())
 
 
+@pytest.mark.parametrize("line, message", [
+    ("rule worst", "rule 'worst'"),
+    ("k 1", "k=1"),
+    ("graph ring", "graph kind 'ring'"),
+    ("p 1.5", "p=1.5"),
+    ("p -0.1", "p=-0.1"),
+    ("cap -1", "cap=-1"),
+    ("jobs 0", "jobs=0"),
+    ("samples 0", "samples=0"),
+    ("n_grid 8,1", "n_grid"),
+    ("phi_grid 1,1/4", "phi_grid"),
+    ("beta 0", "beta must be positive"),
+    ("beta -1", "beta must be positive"),
+    ("beta abc", "'abc'"),
+])
+def test_parse_config_rejects_bad_values(line, message):
+    with pytest.raises(fb.HarnessError, match=message):
+        fb.parse_config(f"mode scaling\n{line}\n")
+
+
 def test_config_table_covers_every_field():
     assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 

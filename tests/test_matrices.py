@@ -96,6 +96,13 @@ def test_columns_for_explicit_groups():
     assert grouped.column(1) == m.column(0)
 
 
+def test_columns_for_rejects_steps_outside_the_trace():
+    trace = run_random(8, 2, 5)
+    for t in (0, -1, len(trace) + 1):
+        with pytest.raises(fb.ModelError, match=f"time-step {t} outside 1..{len(trace)}"):
+            fb.columns_for(trace, [(1,), (t,)])
+
+
 def test_truncated_cycle_set_refused():
     trace = run_random(8, 3, 6)
     truncated = fb.CycleSet(cycles=(), truncated=True)
@@ -157,26 +164,3 @@ def test_exact_rank_on_natural_cycle_matrices():
             p = fb.build_P(run_random(n, k, seed, rule=rule), "cycles")
             support = [r for r in p.dense() if any(r)]
             assert fb.exact_rank(p) == _fraction_rank([list(c) for c in zip(*support)])
-
-
-def test_matrix_text_roundtrip():
-    trace = run_random(8, 2, 7)
-    p = fb.build_P(trace, "pairs")
-    back = fb.SignMatrix.from_text(p.to_text())
-    assert back.n_rows == p.n_rows and back.cols == p.cols
-    with pytest.raises(fb.ModelError):
-        fb.SignMatrix.from_text("")
-    with pytest.raises(fb.ModelError):
-        fb.SignMatrix.from_text("2 2\n5 0 1\n")
-
-
-def test_slow_events():
-    denom = 4
-    assert fb.cumulative_event((1, 1), denom, Fraction(1, 4))
-    assert not fb.cumulative_event((1, 1), denom, Fraction(1, 5))
-    assert not fb.cumulative_event((1, 0), denom, Fraction(10))
-    assert not fb.cumulative_event((), denom, Fraction(1))
-    assert fb.per_step_event((1, 1), denom, Fraction(1, 8), 2)
-    assert not fb.per_step_event((1, 2), denom, Fraction(1, 8), 2)
-    assert not fb.per_step_event((0, 1), denom, Fraction(1), 2)
-    assert not fb.per_step_event((), denom, Fraction(1), 2)

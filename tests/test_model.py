@@ -8,7 +8,7 @@ import pytest
 
 import flipbench as fb
 from flipbench.model import (check_configuration, move_delta_num,
-                             parse_configuration, sign_view, validate_move)
+                             parse_configuration, step_column, validate_move)
 
 from conftest import random_tau0, smoothed_instance
 
@@ -119,7 +119,6 @@ def test_configuration_helpers():
     assert parse_configuration("1 2 2 1") == (1, 2, 2, 1)
     with pytest.raises(fb.ModelError):
         parse_configuration("1 x 2 1")
-    assert sign_view((1, 2, 2, 1)) == (1, -1, -1, 1)
 
 
 def test_move_delta_num_sign_convention():
@@ -128,6 +127,7 @@ def test_move_delta_num_sign_convention():
                        weight_nums=(5, -3), denom=fb.DEFAULT_DENOM)
     tau = (1, 1, 2)
     # neighbors: 0 in departed part (+5), 2 in destination part (-(-3))
+    assert step_column(inst, tau, fb.Move(1, 1, 2)) == ((0, 1), (1, -1))
     assert move_delta_num(inst, tau, fb.Move(1, 1, 2)) == 5 + 3
 
 
