@@ -405,9 +405,11 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
 def build_3cut_certificate(trace: Trace, check_rank: bool = True):
     """Certificate for a 2-critical block on a complete graph, k=3.
 
-    Returns (graph, bound) with bound = max{ceil(c/2), #window arcs} and
-    asserts bound >= ceil(s/32) plus, when check_rank is set, that the
-    exact rank of the cycle matrix meets the bound.
+    Returns (graph, bound): the larger of the window-arc graph and the
+    half certificate (>= ceil(c/2) arcs), and its arc count, so the bound
+    is exactly what validating the graph checks.  Asserts bound >=
+    ceil(s/32) plus, when check_rank is set, that the exact rank of the
+    cycle matrix meets the bound.
     """
     inst = trace.instance
     if inst.k != 3 or not inst.complete:
@@ -422,9 +424,11 @@ def build_3cut_certificate(trace: Trace, check_rank: bool = True):
         if arcs:
             arcs_by_tail[v] = tuple(arcs)
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
-    half_graph, half_bound = build_half_certificate(trace, check_rank=False)
+    half_graph, _ = build_half_certificate(trace, check_rank=False)
+    if half_graph.n_arcs > graph.n_arcs:
+        graph = half_graph
+    bound = graph.n_arcs
     stats = occurrence_stats(moves)
-    bound = max(half_bound, graph.n_arcs)
     need = -(-stats.s // 32)  # ceil(s/32)
     if bound < need:
         raise CertificateError(

@@ -15,8 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import (Instance, ModelError, Move, apply_move, check_configuration,
-                    hamiltonian, parse_configuration)
+from .model import (Instance, InvalidMoveError, ModelError, Move, apply_move,
+                    check_configuration, hamiltonian, move_delta_num,
+                    parse_configuration, validate_move)
 
 DEFAULT_CAP = 10 ** 8
 PIVOT_RULES = ("first", "best", "random")
@@ -244,13 +245,24 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
 
 
 def verify_trace(trace: Trace) -> None:
-    """Recompute every delta from scratch; raise on any mismatch."""
+    """Re-check a trace against the pure-Python model, independently of _State.
+
+    Every move must be valid from the configuration it starts in, every
+    recorded delta must equal model.move_delta_num, and H(final) - H(tau0)
+    must equal the sum of the deltas over the denominator: O(steps * n + m).
+    A bad move or delta raises ModelError naming its step.
+    """
     inst = trace.instance
-    h_prev = hamiltonian(inst, trace.tau0)
+    check_configuration(inst, trace.tau0)
     tau = trace.tau0
     for t, (move, dnum) in enumerate(trace.steps, start=1):
-        tau = apply_move(tau, move)
-        h = hamiltonian(inst, tau)
-        if h - h_prev != Fraction(dnum, inst.denom):
+        try:
+            validate_move(inst, tau, move)
+        except InvalidMoveError as exc:
+            raise ModelError(f"step {t}: {exc}") from None
+        if move_delta_num(inst, tau, move) != dnum:
             raise ModelError(f"delta mismatch at step {t}")
-        h_prev = h
+        tau = apply_move(tau, move)
+    gap = hamiltonian(inst, tau) - hamiltonian(inst, trace.tau0)
+    if gap != Fraction(sum(trace.delta_nums), inst.denom):
+        raise ModelError(f"H(final) - H(tau0) = {gap} is not the sum of the deltas")

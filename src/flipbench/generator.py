@@ -84,15 +84,17 @@ def grid_bounds(profile: SmoothingProfile, i: int, denom: int):
     return lo, hi
 
 
-def sample_weight_num(profile: SmoothingProfile, i: int, denom: int) -> int:
-    """One weight numerator, uniform on the grid, keyed by (seed, edge index)."""
-    lo, hi = grid_bounds(profile, i, denom)
-    rng = random.Random(f"w:{profile.seed}:{i}")
-    return rng.randint(lo, hi)
-
-
 def sample_weights(edges, profile: SmoothingProfile, denom: int = DEFAULT_DENOM):
-    return tuple(sample_weight_num(profile, i, denom) for i in range(len(edges)))
+    """Weight numerators, each uniform on its grid and keyed by (seed, edge
+    index); the grid bounds are computed once per distinct centre."""
+    bounds: dict = {}
+    nums = []
+    for i in range(len(edges)):
+        c = profile.centers[i] if profile.centers else 0
+        if c not in bounds:
+            bounds[c] = grid_bounds(profile, i, denom)
+        nums.append(random.Random(f"w:{profile.seed}:{i}").randint(*bounds[c]))
+    return tuple(nums)
 
 
 def make_instance(kind: str, n: int, k: int, profile: SmoothingProfile,

@@ -78,6 +78,10 @@ class ExperimentConfig:
         phi_num, phi_den = min(self.phi_grid).as_integer_ratio()
         if 2 * phi_num < phi_den:
             raise HarnessError("every phi in phi_grid must be at least 1/2")
+        if self.eps.as_integer_ratio()[0] <= 0:
+            raise HarnessError(f"eps={self.eps} must be positive")
+        if not math.isfinite(self.eta):
+            raise HarnessError(f"eta={self.eta} must be finite")
 
 
 # config key -> converter from its value text; one entry per config field
@@ -104,14 +108,14 @@ def parse_config(text: str) -> ExperimentConfig:
     """Config file format: one `key value` pair per line, # comments."""
     kw: dict = {}
     for lineno, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
+        key, _, value = ln.strip().partition(" ")
+        if not key or key.startswith("#"):
             continue
-        key, _, value = ln.partition(" ")
-        if key not in CONFIG_FIELDS:
+        convert = CONFIG_FIELDS.get(key)
+        if convert is None:
             raise HarnessError(f"unknown config key {key!r} on line {lineno}")
         try:
-            kw[key] = CONFIG_FIELDS[key](value.strip())
+            kw[key] = convert(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise HarnessError(f"bad value for {key!r} on line {lineno}: {exc}")
     if "mode" not in kw:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import CycleSet, TruncatedCycleSetError, cycles, pairs
 from .engine import Trace
 from .model import ModelError, step_column
@@ -123,17 +125,103 @@ def columns_for(trace: Trace, time_lists) -> SignMatrix:
 
 # --- exact rank --------------------------------------------------------------
 
-def exact_rank(mat) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+_PRIME = 2 ** 31 - 1  # residues < 2**31, so a product of two fits in int64
+# largest lifted residue taken as an integer kernel entry, floor(sqrt(2**31));
+# a larger one is more likely the image of a fraction, left to the fallback
+_LIFT = 46340
 
-    Accepts a SignMatrix or a dense list of integer rows.  Works on the
-    transpose when that is smaller; zero rows are dropped first.
+
+def exact_rank(mat) -> int:
+    """Rank over the rationals, certified mod p with a Bareiss fallback.
+
+    Accepts a SignMatrix or a dense list of integer rows.  Row reduction
+    mod p = 2**31 - 1 finds r pivots: a nonsingular r x r minor mod p is
+    nonsingular over Q, so rank >= r.  Below full column rank, each free
+    column's kernel vector is read off the reduced form, lifted to
+    symmetric residues and checked A.K == 0 in exact integers; these
+    cols - r independent kernel vectors prove rank <= r.  An entry beyond
+    int64, a lifted residue beyond _LIFT, a product that could overflow
+    int64 or a failed check sends the matrix to fraction-free Bareiss
+    elimination instead.  No float decides anything.
     """
-    if isinstance(mat, SignMatrix):
-        rows = mat.dense()
-    else:
-        rows = [list(r) for r in mat]
-    rows = [r for r in rows if any(r)]
+    try:
+        a = _nonzero_rows(mat)
+    except OverflowError:
+        return _bareiss_rank(mat.dense() if isinstance(mat, SignMatrix) else mat)
+    rank = _certified_rank(a)
+    return _bareiss_rank(a.tolist()) if rank is None else rank
+
+
+def _nonzero_rows(mat) -> np.ndarray:
+    """The matrix's nonzero rows as an int64 array; OverflowError if an
+    entry does not fit."""
+    if not isinstance(mat, SignMatrix):
+        a = np.array([list(r) for r in mat], dtype=np.int64)
+        return a[a.any(axis=1)] if a.ndim == 2 else np.zeros((0, 0), dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for j, col in enumerate(mat.cols):
+        for r, val in col:
+            rows.append(r)
+            cols.append(j)
+            vals.append(val)
+    support, at = np.unique(np.array(rows, dtype=np.intp), return_inverse=True)
+    a = np.zeros((len(support), mat.n_cols), dtype=np.int64)
+    a[at, cols] = np.array(vals, dtype=np.int64)
+    return a
+
+
+def _certified_rank(a: np.ndarray) -> int | None:
+    """Exact rank of an int64 matrix from a mod-p reduction and an integer
+    kernel, or None when the certificate cannot be completed."""
+    a = a[:, a.any(axis=0)]
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    red, pivots = _rref_mod_p(a)
+    n_cols = a.shape[1]
+    if len(pivots) == n_cols:
+        return n_cols
+    free = np.setdiff1d(np.arange(n_cols), pivots)
+    lifted = -red[:, free] % _PRIME
+    lifted[lifted > _PRIME // 2] -= _PRIME
+    if np.abs(lifted).max(initial=0) > _LIFT:
+        return None
+    if max(int(a.max()), -int(a.min())) * _LIFT * n_cols >= 2 ** 63:
+        return None
+    kernel = np.zeros((n_cols, len(free)), dtype=np.int64)
+    kernel[free, np.arange(len(free))] = 1
+    kernel[pivots] = lifted
+    if (a @ kernel).any():
+        return None
+    return len(pivots)
+
+
+def _rref_mod_p(a: np.ndarray):
+    """Reduced row echelon form of a mod _PRIME: (pivot rows, pivot columns)."""
+    red = a % _PRIME
+    n_rows, n_cols = red.shape
+    pivots = []
+    for c in range(n_cols):
+        row = len(pivots)
+        if row == n_rows:
+            break
+        below = np.flatnonzero(red[row:, c])
+        if not len(below):
+            continue
+        if below[0]:
+            red[[row, row + below[0]]] = red[[row + below[0], row]]
+        red[row, c:] = red[row, c:] * pow(int(red[row, c]), -1, _PRIME) % _PRIME
+        factors = red[:, c].copy()
+        factors[row] = 0
+        hit = np.flatnonzero(factors)
+        red[hit, c:] = (red[hit, c:] - factors[hit, None] * red[row, c:]) % _PRIME
+        pivots.append(c)
+    return red[:len(pivots)], pivots
+
+
+def _bareiss_rank(rows) -> int:
+    """Rank by fraction-free (Bareiss) elimination on Python integers;
+    works on the transpose when that is smaller, zero rows dropped first."""
+    rows = [list(r) for r in rows if any(r)]
     if not rows:
         return 0
     n_cols = len(rows[0])

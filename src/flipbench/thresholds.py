@@ -35,7 +35,7 @@ class Beta:
     @classmethod
     def parse(cls, text: str) -> "Beta":
         text = text.strip()
-        if text in ("1/sqrt2", "1/sqrt(2)", "sqrt1_2", "0.7071"):
+        if text in ("1/sqrt2", "1/sqrt(2)", "sqrt1_2"):
             return cls.sqrt_half()
         try:
             value = Fraction(text)

@@ -10,7 +10,8 @@ from flipbench import matrices
 from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
-from conftest import random_tau0, run_random, smoothed_instance, synth_traces
+from conftest import (random_tau0, run_random, smoothed_instance, synth_trace,
+                      synth_traces)
 
 
 def _k2_trace(moves, n=3):
@@ -178,6 +179,30 @@ def test_certify_dispatches_by_mode():
     assert fb.certify(trace, "half", Beta.sqrt_half()) == (graph, bound, verdict)
     with pytest.raises(fb.CertificateError):
         fb.certify(trace, "k4", Beta.sqrt_half())
+
+
+def test_valid_verdict_bound_is_the_validated_graph():
+    # a printed bound must be backed by the graph that was validated: the
+    # k2 bound is the lemma's max{s2, ceil(beta/(1+beta) s1)}, which its
+    # graph meets or exceeds; 3cut and half report their graph's size
+    beta = Beta.sqrt_half()
+    blocks = {"k2": _collect_k2_blocks(8, seed0=100),
+              "3cut": [], "half": [run_random(14, 4, 600 + s) for s in range(10)]}
+    for seed in range(150):
+        trace = synth_trace(12, 3, 5, 15, seed)
+        if trace is not None:
+            block = fb.two_critical_block(trace.moves)
+            blocks["3cut"].append(fb.slice_trace(trace, block.t1, block.t2))
+    assert set(blocks) == set(fb.certificates.BUILDERS)
+    assert len(blocks["3cut"]) == 10
+    for mode, subs in blocks.items():
+        for sub in subs:
+            graph, bound, verdict = fb.certify(sub, mode, beta)
+            assert verdict.valid, verdict.reason
+            if mode == "k2":
+                assert bound <= graph.n_arcs
+            else:
+                assert bound == graph.n_arcs
 
 
 def test_validate_rejects_fabricated_arcs():

@@ -205,3 +205,28 @@ def test_trace_text_rejects_edited_delta():
     text = fb.trace_to_text(trace).replace("# tau0 ", "# tau0 x ")
     with pytest.raises(fb.ModelError, match="non-integer"):
         fb.trace_from_text(trace.instance, text)
+
+
+def test_verify_trace_names_the_bad_step():
+    trace = run_random(10, 3, 21)
+    assert len(trace) >= 4
+    steps = list(trace.steps)
+    (v, p, q), d = steps[2]
+    other = ({1, 2, 3} - {p, q}).pop()
+    assert trace.configuration_at(2)[v] == p != other
+    for bad in (((v, p, q), d + 1),          # tampered delta
+                ((v, q, other), d),          # from a part v is not in
+                ((v, p, 4), d),              # destination outside 1..k
+                ((v, p, p), d)):             # p == q
+        move, dnum = bad
+        tampered = steps[:2] + [(fb.Move(*move), dnum)] + steps[3:]
+        forged = fb.Trace(instance=trace.instance, tau0=trace.tau0, steps=tuple(tampered))
+        with pytest.raises(fb.ModelError, match="step 3"):
+            fb.verify_trace(forged)
+
+
+def test_verify_trace_accepts_run_flip_traces():
+    for k in (2, 3, 4, 5):
+        for rule in ("first", "best", "random"):
+            for seed in range(3):
+                fb.verify_trace(run_random(14, k, 30 + seed, rule=rule))

@@ -1,12 +1,13 @@
 """Smoothed weight sampling: determinism, support bounds, validation."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import flipbench as fb
 from flipbench.generator import (GeneratorError, build_graph, grid_bounds,
-                                 sample_weight_num, sample_weights)
+                                 sample_weights)
 
 
 def test_profile_validation():
@@ -27,16 +28,40 @@ def test_sampling_is_deterministic_and_order_free():
     b = sample_weights(edges, prof)
     assert a == b
     # each edge's weight depends only on (seed, index)
-    assert sample_weight_num(prof, 3, fb.DEFAULT_DENOM) == a[3]
+    assert sample_weights(edges[:4], prof)[3] == a[3]
 
 
 def test_weights_inside_support():
     prof = fb.SmoothingProfile(phi=Fraction(4), seed=3,
                                centers=tuple([Fraction(1, 2)] * 10))
-    for i in range(10):
-        num = sample_weight_num(prof, i, fb.DEFAULT_DENOM)
+    for i, num in enumerate(sample_weights(range(10), prof)):
         lo, hi = prof.support(i)
         assert lo <= Fraction(num, fb.DEFAULT_DENOM) <= hi
+
+
+def _centres(kind, m):
+    if kind == "zero":
+        return ()
+    if kind == "half":
+        return tuple([Fraction(1, 2)] * m)
+    return tuple(Fraction(i % 5 - 2, 10) for i in range(m))
+
+
+@pytest.mark.parametrize("n, phi, seed, kind, denom, digest", [
+    (12, Fraction(1), 0, "zero", 2 ** 20, "904f201966be1390"),
+    (40, Fraction(3), 7, "zero", 2 ** 20, "1197ab2db844fd55"),
+    (20, Fraction(1, 2), 5, "zero", 2 ** 20, "8b181ce74fdc5a90"),
+    (16, Fraction(2), 9, "half", 2 ** 20, "eb1c1ed3df9275bb"),
+    (9, Fraction(7, 3), 4, "mixed", 2 ** 20, "26e1f3bf07d786a0"),
+    (10, Fraction(1), 3, "zero", 2 ** 10, "fd360c762ec16c57"),
+])
+def test_sample_weights_are_pinned(n, phi, seed, kind, denom, digest):
+    # digests recorded before the grid bounds were cached per centre: the
+    # same (seed, edge index) must keep its weight
+    edges = fb.complete_edges(n)
+    prof = fb.SmoothingProfile(phi=phi, seed=seed, centers=_centres(kind, len(edges)))
+    nums = sample_weights(edges, prof, denom)
+    assert hashlib.sha256(repr(nums).encode()).hexdigest()[:16] == digest
 
 
 def test_grid_bounds_cover_support():

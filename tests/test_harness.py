@@ -64,6 +64,12 @@ def test_parse_config_errors():
     ("beta 0", "beta must be positive"),
     ("beta -1", "beta must be positive"),
     ("beta abc", "'abc'"),
+    ("eps 0", "eps=0 must be positive"),
+    ("eps -1", "eps=-1 must be positive"),
+    ("eps -1/20", "eps=-1/20 must be positive"),
+    ("eta nan", "eta=nan must be finite"),
+    ("eta inf", "eta=inf must be finite"),
+    ("eta -inf", "eta=-inf must be finite"),
 ])
 def test_parse_config_rejects_bad_values(line, message):
     with pytest.raises(fb.HarnessError, match=message):

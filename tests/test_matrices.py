@@ -164,3 +164,77 @@ def test_exact_rank_on_natural_cycle_matrices():
             p = fb.build_P(run_random(n, k, seed, rule=rule), "cycles")
             support = [r for r in p.dense() if any(r)]
             assert fb.exact_rank(p) == _fraction_rank([list(c) for c in zip(*support)])
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+    bareiss = fb.matrices._bareiss_rank
+    monkeypatch.setattr(fb.matrices, "_bareiss_rank",
+                        lambda rows: calls.append(1) or bareiss(rows))
+    return calls
+
+
+def _planted_matrix(rng):
+    """Entries in [-3, 3]; rows drawn from a smaller basis (scaled copies,
+    sums and differences) and some columns repeated or negated, so most
+    matrices are rank-deficient by construction."""
+    n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+    if rng.random() < 0.15:
+        return [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+    basis = [[rng.randint(-1, 1) for _ in range(n_cols)]
+             for _ in range(rng.randint(0, min(n_rows, n_cols)))]
+    rows = []
+    for _ in range(n_rows):
+        if not basis:
+            rows.append([0] * n_cols)
+        elif rng.random() < 0.5:
+            c, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(basis)
+            rows.append([c * x for x in b])
+        else:
+            s, a, b = rng.choice((-1, 1)), rng.choice(basis), rng.choice(basis)
+            rows.append([x + s * y for x, y in zip(a, b)])
+    for _ in range(rng.randint(0, n_cols // 2)):
+        i, j, s = rng.randrange(n_cols), rng.randrange(n_cols), rng.choice((-1, 1))
+        for row in rows:
+            row[j] = s * row[i]
+    return rows
+
+
+def test_exact_rank_on_planted_deficiency_against_fraction_oracle(bareiss_calls):
+    deficient = 0
+    for seed in range(320):
+        rows = _planted_matrix(random.Random(f"planted:{seed}"))
+        want = _fraction_rank(rows)
+        deficient += want < min(len(rows), len(rows[0]))
+        assert fb.exact_rank(rows) == want, seed
+        assert fb.exact_rank([list(c) for c in zip(*rows)]) == want, seed
+    assert deficient >= 240
+    # both the certified path and the fallback were exercised
+    assert 0 < len(bareiss_calls) < 2 * 320
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[2 ** 31 - 1]], 1),                 # the prime itself: zero mod p
+    ([[2 ** 31 - 1, 0], [0, 1]], 2),      # an unlucky prime hides one pivot
+    ([[2, 1], [4, 2]], 1),                # kernel (1, -2)/2 is not integral
+    ([[2 ** 70, 1], [2 ** 70, 1]], 1),    # entries beyond int64
+])
+def test_exact_rank_falls_back_to_bareiss(rows, rank, bareiss_calls):
+    assert fb.exact_rank(rows) == rank
+    assert bareiss_calls
+
+
+def test_natural_sign_matrices_need_no_fallback(bareiss_calls):
+    # full-rank pair matrices and rank-deficient cycle matrices alike are
+    # decided by the mod-p pass and an integer kernel
+    deficient = 0
+    for n, k in ((24, 2), (32, 3), (40, 4)):
+        for seed in range(4):
+            p = fb.build_P(run_random(n, k, seed), "pairs" if k == 2 else "cycles")
+            rank = fb.exact_rank(p)
+            assert not bareiss_calls
+            support = [r for r in p.dense() if any(r)]
+            assert rank == _fraction_rank([list(c) for c in zip(*support)])
+            deficient += rank < min(len(support), p.n_cols)
+    assert deficient

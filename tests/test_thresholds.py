@@ -76,3 +76,9 @@ def test_parse_and_str():
     assert Beta.parse("3/4").rational == Fraction(3, 4)
     assert str(Beta.sqrt_half()) == "1/sqrt(2)"
     assert float(Beta.sqrt_half()) == pytest.approx(1 / math.sqrt(2))
+
+
+def test_decimal_beta_parses_as_its_rational():
+    # 0.7071 is a decimal like any other, not an alias of 1/sqrt(2)
+    assert Beta.parse("0.7071").rational == Fraction(7071, 10000)
+    assert str(Beta.parse(" 0.7071 ")) == "7071/10000"
