@@ -14,10 +14,10 @@ Three constructions are provided:
   * general k: one arc per cyclic vertex, then break functional cycles.
 
 Every construction is re-validated against the actual matrix rather than
-trusted; validate_certificate uses its own rational elimination so the
-check does not share code with exact_rank.  certify() is the one entry
-point from a mode name (k2, 3cut, half) to a built and validated
-certificate.
+trusted; validate_certificate uses its own elimination, mod a prime other
+than exact_rank's with a rational fallback, so the check does not share
+code with exact_rank.  certify() is the one entry point from a mode name
+(k2, 3cut, half) to a built and validated certificate.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .analysis import (Cycle, classify_cyclic, cycles, cyclic_acyclic_blocks,
                        occurrence_stats, transition_singleton_blocks)
 from .engine import Trace
-from .matrices import build_P, columns_for, exact_rank
+from .matrices import SignMatrix, build_P, columns_for, exact_rank
 from .model import ModelError
 from .thresholds import Beta
 
@@ -509,13 +511,17 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
 
 # --- validation --------------------------------------------------------------
 
-def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
+def validate_certificate(graph: CertificateGraph, trace: Trace,
+                         full_p: SignMatrix | None = None) -> Verdict:
     """Adversarial re-check of a certificate against the real matrix.
 
     Verifies acyclicity, nonzero witness entries, the per-tail staircase
     zero pattern, distinct edge rows, and full row rank of the witness-row
-    submatrix by plain rational elimination (a code path independent of
-    exact_rank).
+    submatrix of P over all pair (k=2) or cycle columns of the trace.  A
+    caller that has built that P already passes it as full_p; otherwise it
+    is built here.  Full row rank is proven mod a prime of the validator's
+    own (a code path independent of exact_rank); only when that check sees
+    a deficiency does plain rational elimination decide.
     """
     inst = trace.instance
     arcs = graph.arcs
@@ -573,19 +579,47 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
                         reason=f"staircase broken at {v}->{arc_j.u} on witness of {v}->{arc_i.u}")
 
     # full row rank of the arcs' edge rows over all pair/cycle columns of
-    # the trace, read in one pass over P and eliminated over the rationals
-    full_p = build_P(trace, "pairs" if inst.k == 2 else "cycles")
-    rows = [[Fraction(0)] * full_p.n_cols for _ in rows_of]
-    for j, col in enumerate(full_p.cols):
-        for e, val in col:
-            if e in rows_of:
-                rows[rows_of[e]][j] = Fraction(val)
-    rank = _rational_row_rank(rows)
-    if rank != len(arcs):
-        return Verdict(valid=False, rank_bound=rank,
-                       reason=f"witness rows have rank {rank}, expected {len(arcs)}")
+    # the trace, read in one pass over P
+    if full_p is None:
+        full_p = build_P(trace, "pairs" if inst.k == 2 else "cycles")
+    row_at = np.full(full_p.n_rows, -1, dtype=np.intp)
+    row_at[list(rows_of)] = np.arange(len(rows_of))
+    at = row_at[full_p.rows]
+    hit = at >= 0
+    col_of = np.repeat(np.arange(full_p.n_cols), np.diff(full_p.ptr))
+    rows = np.zeros((len(rows_of), full_p.n_cols), dtype=np.int64)
+    rows[at[hit], col_of[hit]] = full_p.vals[hit]
+    if not _full_row_rank_mod_p(rows):
+        rank = _rational_row_rank([[Fraction(x) for x in r] for r in rows.tolist()])
+        if rank != len(arcs):
+            return Verdict(valid=False, rank_bound=rank,
+                           reason=f"witness rows have rank {rank}, expected {len(arcs)}")
     return Verdict(valid=True, rank_bound=len(arcs))
 
+
+# the validator's prime, deliberately not exact_rank's 2**31 - 1; residues
+# stay below 2**31, so a product of two fits in int64
+_VALIDATOR_PRIME = 2 ** 31 - 19
+
+
+def _full_row_rank_mod_p(rows: np.ndarray) -> bool:
+    """Whether the integer rows are independent mod _VALIDATOR_PRIME.
+
+    True proves them independent over Q: some maximal minor is nonzero
+    mod p, so it is a nonzero integer.  False may be an unlucky prime.
+    Each row in turn takes its first nonzero column as pivot and clears
+    that column from the rows after it; a row left all zero is dependent.
+    """
+    p = _VALIDATOR_PRIME
+    red = rows % p
+    for i in range(len(red)):
+        nonzero = np.flatnonzero(red[i])
+        if not len(nonzero):
+            return False
+        c = nonzero[0]
+        factors = red[i + 1:, c] * pow(int(red[i, c]), -1, p) % p
+        red[i + 1:] = (red[i + 1:] - factors[:, None] * red[i]) % p
+    return True
 
 
 def _rational_row_rank(rows) -> int:
@@ -626,9 +660,10 @@ BUILDERS = {
 }
 
 
-def certify(trace: Trace, mode: str, beta: Beta):
-    """Build the mode's certificate and validate it: (graph, bound, verdict)."""
+def certify(trace: Trace, mode: str, beta: Beta, full_p: SignMatrix | None = None):
+    """Build the mode's certificate and validate it: (graph, bound, verdict).
+    full_p is the trace's P when the caller has built it already."""
     if mode not in BUILDERS:
         raise CertificateError(f"unknown certificate mode {mode!r}")
     graph, bound = BUILDERS[mode](trace, beta)
-    return graph, bound, validate_certificate(graph, trace)
+    return graph, bound, validate_certificate(graph, trace, full_p)

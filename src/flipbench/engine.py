@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import (Instance, InvalidMoveError, ModelError, Move, apply_move,
-                    check_configuration, hamiltonian, move_delta_num,
-                    parse_configuration, validate_move)
+from .model import (Instance, InvalidMoveError, ModelError, Move,
+                    check_configuration, hamiltonian, parse_configuration,
+                    sequence_chunks, step_deltas, validate_move)
 
 DEFAULT_CAP = 10 ** 8
 PIVOT_RULES = ("first", "best", "random")
@@ -213,10 +213,11 @@ def trace_to_text(trace: Trace) -> str:
 def trace_from_text(inst: Instance, text: str) -> Trace:
     """Read a trace file against its instance.
 
-    The `# instance` header must name inst's content hash and every
-    record's delta must equal the replayed one; otherwise ModelError.
+    Exactly one `# instance` header must name inst's content hash and
+    every record's delta must equal the replayed one; otherwise ModelError.
     """
     tau0 = None
+    named = False
     moves, dnums = [], []
     for ln in text.splitlines():
         ln = ln.strip()
@@ -225,9 +226,12 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
         if ln.startswith("#"):
             if ln.startswith("# tau0 "):
                 tau0 = parse_configuration(ln[len("# tau0 "):])
-            elif (ln.startswith("# instance ")
-                  and ln.removeprefix("# instance ") != inst.content_hash()):
-                raise ModelError(f"{ln!r} does not name instance {inst.content_hash()}")
+            elif ln.startswith("# instance "):
+                if named:
+                    raise ModelError("trace file repeats its instance header")
+                if ln.removeprefix("# instance ") != inst.content_hash():
+                    raise ModelError(f"{ln!r} does not name instance {inst.content_hash()}")
+                named = True
             continue
         try:
             _, v, p, q, dnum = map(int, ln.split())
@@ -235,6 +239,8 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
             raise ModelError(f"malformed trace record: {ln!r}") from None
         moves.append(Move(v, p, q))
         dnums.append(dnum)
+    if not named:
+        raise ModelError("trace file missing instance header")
     if tau0 is None:
         raise ModelError("trace file missing tau0 header")
     trace = replay(inst, tau0, moves)
@@ -245,24 +251,29 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
 
 
 def verify_trace(trace: Trace) -> None:
-    """Re-check a trace against the pure-Python model, independently of _State.
+    """Re-check a trace against the model's step-sign kernel, independently
+    of _State.
 
     Every move must be valid from the configuration it starts in, every
-    recorded delta must equal model.move_delta_num, and H(final) - H(tau0)
-    must equal the sum of the deltas over the denominator: O(steps * n + m).
+    recorded delta must equal the kernel's, and H(final) - H(tau0) must
+    equal the sum of the deltas over the denominator: O(steps * n + m).
     A bad move or delta raises ModelError naming its step.
     """
     inst = trace.instance
     check_configuration(inst, trace.tau0)
-    tau = trace.tau0
-    for t, (move, dnum) in enumerate(trace.steps, start=1):
+    tau = list(trace.tau0)
+    for t, (move, _) in enumerate(trace.steps, start=1):
         try:
             validate_move(inst, tau, move)
         except InvalidMoveError as exc:
             raise ModelError(f"step {t}: {exc}") from None
-        if move_delta_num(inst, tau, move) != dnum:
-            raise ModelError(f"delta mismatch at step {t}")
-        tau = apply_move(tau, move)
+        tau[move.v] = move.q
+    recorded = trace.delta_nums
+    for lo, moves, taus in sequence_chunks(inst, trace.tau0, trace.moves):
+        got = step_deltas(inst, taus, moves).tolist()
+        for t, (dnum, want) in enumerate(zip(got, recorded[lo:]), start=lo + 1):
+            if dnum != want:
+                raise ModelError(f"delta mismatch at step {t}")
     gap = hamiltonian(inst, tau) - hamiltonian(inst, trace.tau0)
     if gap != Fraction(sum(trace.delta_nums), inst.denom):
         raise ModelError(f"H(final) - H(tau0) = {gap} is not the sum of the deltas")

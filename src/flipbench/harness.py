@@ -257,8 +257,10 @@ def _rank_trial(args):
     # the lemma's rank lower bound for the block, beside the certificate's own
     bound = {"k2": cfg.beta.ceil_rank_bound(stats.s), "3cut": -(-stats.s // 32),
              "half": -(-len(cyc) // 2)}[mode]
-    graph, _, verdict = certify(sub, mode, cfg.beta)
-    rank = exact_rank(build_P(sub, "pairs" if cfg.k == 2 else "cycles"))
+    # one P serves the certificate's validation and the exact rank
+    full_p = build_P(sub, "pairs" if cfg.k == 2 else "cycles")
+    graph, _, verdict = certify(sub, mode, cfg.beta, full_p)
+    rank = exact_rank(full_p)
     violation = int(rank < bound or rank < graph.n_arcs or not verdict.valid)
     return {**base, "status": "ok", "ell": len(sub.moves), "s": stats.s,
             "c": len(cyc), "rank": rank, "bound": bound,

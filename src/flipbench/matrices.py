@@ -13,30 +13,42 @@ the surviving entries do not depend on the starting configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .analysis import CycleSet, TruncatedCycleSetError, cycles, pairs
 from .engine import Trace
-from .model import ModelError, step_column
+from .model import ModelError, sequence_chunks, step_signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignMatrix:
-    """Sparse integer matrix stored by column.
+    """Sparse integer matrix in compressed-column form.
 
-    cols[j] is a tuple of (row index, entry) with strictly increasing row
-    indices and nonzero entries.  col_labels carries the object a column
-    came from (a time-step, a Pair, or a Cycle).
+    Column j has the entries vals[ptr[j]:ptr[j+1]] on the rows
+    rows[ptr[j]:ptr[j+1]], with strictly increasing row indices and
+    nonzero integer entries.  col_labels carries the object a column came
+    from (a time-step, a Pair, or a Cycle).
     """
 
     n_rows: int
-    cols: tuple
+    ptr: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
     col_labels: tuple = ()
 
     @property
     def n_cols(self) -> int:
-        return len(self.cols)
+        return len(self.ptr) - 1
+
+    @cached_property
+    def cols(self) -> tuple:
+        """Column j as a tuple of (row index, entry) pairs of Python ints."""
+        pairs = list(zip(self.rows.tolist(), self.vals.tolist()))
+        ptr = self.ptr.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def entry(self, i: int, j: int) -> int:
         for r, val in self.cols[j]:
@@ -56,34 +68,60 @@ class SignMatrix:
 
     def row_support(self):
         """Row indices with at least one nonzero entry."""
-        rows = set()
-        for col in self.cols:
-            for r, _ in col:
-                rows.add(r)
-        return rows
+        return set(self.rows.tolist())
+
+
+def _from_cells(n_rows: int, n_cols: int, cols, rows, vals, labels) -> SignMatrix:
+    """The matrix summing the entries given per (column, row) cell: a
+    stable sort of column * n_rows + row keys unless they come strictly
+    increasing, a segmented sum over runs of equal keys, zero sums
+    dropped."""
+    stride = max(n_rows, 1)
+    key = cols * stride + rows
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.cumsum(vals)[np.append(starts[1:] - 1, len(vals) - 1)]
+        key, vals = key[starts], np.diff(ends, prepend=0)
+    keep = vals != 0
+    key, vals = key[keep], vals[keep]
+    ptr = np.searchsorted(key, np.arange(n_cols + 1) * stride)
+    rows = key - np.repeat(np.arange(n_cols) * stride, np.diff(ptr))
+    return SignMatrix(n_rows=n_rows, ptr=ptr, rows=rows, vals=vals, col_labels=labels)
 
 
 def build_M(trace: Trace) -> SignMatrix:
-    """Step matrix of a trace; <column t, X> equals the step-t improvement."""
+    """Step matrix of a trace; <column t, X> equals the step-t improvement.
+
+    Read off the model's step-sign kernel: column t holds the nonzero
+    signs of step t's row, on the edges their ids name.
+    """
     inst = trace.instance
-    tau = list(trace.tau0)
-    cols = []
-    for move, _ in trace.steps:
-        cols.append(step_column(inst, tau, move))
-        tau[move.v] = move.q
-    return SignMatrix(n_rows=inst.m, cols=tuple(cols),
-                      col_labels=tuple(range(1, len(cols) + 1)))
+    steps = [np.zeros(0, np.intp)]
+    rows = [np.zeros(0, np.int32)]
+    vals = [np.zeros(0, np.int8)]
+    for lo, moves, taus in sequence_chunks(inst, trace.tau0, trace.moves):
+        signs, ids = step_signs(inst, taus, moves)
+        cells = np.flatnonzero(signs)
+        steps.append(cells // inst.n + lo)
+        rows.append(ids.take(cells))
+        vals.append(signs.take(cells))
+    return _from_cells(inst.m, len(trace), np.concatenate(steps), np.concatenate(rows),
+                       np.concatenate(vals), tuple(range(1, len(trace) + 1)))
 
 
-def _combine(m_cols, time_lists):
-    cols = []
-    for ts in time_lists:
-        acc: dict = {}
-        for t in ts:
-            for r, val in m_cols[t - 1]:
-                acc[r] = acc.get(r, 0) + val
-        cols.append(tuple(sorted((r, v) for r, v in acc.items() if v != 0)))
-    return tuple(cols)
+def _combine(m: SignMatrix, time_lists, labels) -> SignMatrix:
+    """Columns summing the step columns of m over each group of 1-based
+    time-steps."""
+    sizes = np.fromiter(map(len, time_lists), dtype=np.intp, count=len(time_lists))
+    steps = np.fromiter(chain.from_iterable(time_lists), dtype=np.intp,
+                        count=int(sizes.sum())) - 1
+    lo = m.ptr[steps]
+    lens = m.ptr[steps + 1] - lo
+    idx = np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(int(lens.sum()))
+    groups = np.repeat(np.repeat(np.arange(len(time_lists)), sizes), lens)
+    return _from_cells(m.n_rows, len(time_lists), groups, m.rows[idx], m.vals[idx], labels)
 
 
 def build_P(trace: Trace, mode: str, cycle_set: CycleSet | None = None) -> SignMatrix:
@@ -107,8 +145,7 @@ def build_P(trace: Trace, mode: str, cycle_set: CycleSet | None = None) -> SignM
         time_lists = [c.times for c in labels]
     else:
         raise ModelError(f"unknown combine mode {mode!r}")
-    return SignMatrix(n_rows=m.n_rows, cols=_combine(m.cols, time_lists),
-                      col_labels=labels)
+    return _combine(m, time_lists, labels)
 
 
 def columns_for(trace: Trace, time_lists) -> SignMatrix:
@@ -118,9 +155,7 @@ def columns_for(trace: Trace, time_lists) -> SignMatrix:
         for t in ts:
             if not 1 <= t <= len(trace):
                 raise ModelError(f"time-step {t} outside 1..{len(trace)}")
-    m = build_M(trace)
-    return SignMatrix(n_rows=m.n_rows, cols=_combine(m.cols, time_lists),
-                      col_labels=time_lists)
+    return _combine(build_M(trace), time_lists, time_lists)
 
 
 # --- exact rank --------------------------------------------------------------
@@ -147,26 +182,20 @@ def exact_rank(mat) -> int:
     try:
         a = _nonzero_rows(mat)
     except OverflowError:
-        return _bareiss_rank(mat.dense() if isinstance(mat, SignMatrix) else mat)
+        return _bareiss_rank(mat)
     rank = _certified_rank(a)
     return _bareiss_rank(a.tolist()) if rank is None else rank
 
 
 def _nonzero_rows(mat) -> np.ndarray:
     """The matrix's nonzero rows as an int64 array; OverflowError if an
-    entry does not fit."""
+    entry of a dense list does not fit."""
     if not isinstance(mat, SignMatrix):
         a = np.array([list(r) for r in mat], dtype=np.int64)
         return a[a.any(axis=1)] if a.ndim == 2 else np.zeros((0, 0), dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for j, col in enumerate(mat.cols):
-        for r, val in col:
-            rows.append(r)
-            cols.append(j)
-            vals.append(val)
-    support, at = np.unique(np.array(rows, dtype=np.intp), return_inverse=True)
+    support, at = np.unique(mat.rows, return_inverse=True)
     a = np.zeros((len(support), mat.n_cols), dtype=np.int64)
-    a[at, cols] = np.array(vals, dtype=np.int64)
+    a[at, np.repeat(np.arange(mat.n_cols), np.diff(mat.ptr))] = mat.vals
     return a
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,10 +57,10 @@ class Instance:
     denom: int = DEFAULT_DENOM
     phi: Fraction = Fraction(1)
     complete: bool = False
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
-    _edge_index: dict = field(default_factory=dict, repr=False, compare=False)
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
     _weights: object = field(default=None, init=False, repr=False, compare=False)
+    _edge_ids: object = field(default=None, init=False, repr=False, compare=False)
+    _edge_arrays: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,29 +85,42 @@ class Instance:
                 raise ModelError("weight magnitude exceeds 1")
         if self.complete and len(self.edges) != self.n * (self.n - 1) // 2:
             raise ModelError("complete flag set but edge set is not all pairs")
-        adj = {v: [] for v in range(self.n)}
-        index = {}
-        for i, (u, v) in enumerate(self.edges):
-            num = self.weight_nums[i]
-            adj[u].append((v, i, num))
-            adj[v].append((u, i, num))
-            index[(u, v)] = i
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_edge_index", index)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int):
-        """(neighbor, edge index, weight numerator) triples of v."""
-        return self._adj[v]
-
     def edge_index(self, u: int, v: int):
         """Index of edge {u,v}, or None if absent."""
-        if u > v:
-            u, v = v, u
-        return self._edge_index.get((u, v))
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return None
+        e = int(self.edge_ids()[u, v])
+        return None if e < 0 else e
+
+    def edge_arrays(self):
+        """Read-only endpoint and weight-numerator arrays (u, v, nums) of the
+        edges, built once; nums is int64 while m * denom < 2**63 keeps every
+        sum of them exact, Python ints otherwise."""
+        if self._edge_arrays is None:
+            u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+            dtype = np.int64 if self.m * self.denom < 2 ** 63 else object
+            arrays = (u, v, np.array(self.weight_nums, dtype=dtype))
+            for a in arrays:
+                a.flags.writeable = False
+            object.__setattr__(self, "_edge_arrays", arrays)
+        return self._edge_arrays
+
+    def edge_ids(self) -> np.ndarray:
+        """Read-only symmetric n x n matrix of edge indices, -1 on non-edges
+        and on the diagonal, built once."""
+        if self._edge_ids is None:
+            u, v, _ = self.edge_arrays()
+            # int32 holds the index of any edge of an instance that fits in memory
+            ids = np.full((self.n, self.n), -1, dtype=np.int32)
+            ids[u, v] = ids[v, u] = np.arange(self.m)
+            ids.flags.writeable = False
+            object.__setattr__(self, "_edge_ids", ids)
+        return self._edge_ids
 
     def weight_matrix(self) -> np.ndarray:
         """Read-only dense symmetric n x n weight numerators, built once: int64
@@ -115,14 +129,14 @@ class Instance:
         if self._weights is None:
             dtype = np.int64 if self.n * self.denom < 2 ** 62 else object
             w = np.zeros((self.n, self.n), dtype=dtype)
-            u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+            u, v, _ = self.edge_arrays()
             w[u, v] = w[v, u] = np.array(self.weight_nums, dtype=dtype)
             w.flags.writeable = False
             object.__setattr__(self, "_weights", w)
         return self._weights
 
     def total_weight(self) -> Fraction:
-        return Fraction(sum(self.weight_nums), self.denom)
+        return Fraction(int(self.edge_arrays()[2].sum()), self.denom)
 
     # --- serialization: header `n k D phi complete`, then `u v num` lines
 
@@ -234,11 +248,9 @@ def simplex_vectors(k: int) -> SimplexFrame:
 def cut_value(inst: Instance, tau: Sequence[int]) -> Fraction:
     """Total weight of edges whose endpoints lie in different parts."""
     check_configuration(inst, tau)
-    total = 0
-    for (u, v), num in zip(inst.edges, inst.weight_nums):
-        if tau[u] != tau[v]:
-            total += num
-    return Fraction(total, inst.denom)
+    u, v, nums = inst.edge_arrays()
+    tau = np.asarray(tau)
+    return Fraction(int(np.where(tau[u] != tau[v], nums, 0).sum()), inst.denom)
 
 
 def hamiltonian(inst: Instance, tau: Sequence[int]) -> Fraction:
@@ -263,26 +275,78 @@ def validate_move(inst: Instance, tau: Sequence[int], m: Move) -> None:
         raise InvalidMoveError(m, f"vertex {m.v} is in part {tau[m.v]}, not {m.p}")
 
 
-def step_column(inst: Instance, tau: Sequence[int], m: Move) -> tuple:
-    """The move's signed column: sorted (edge index, +/-1) pairs.
+# --- step signs: the one kernel behind every delta, column and check -----
 
-    +1 towards neighbors in the departed part p, -1 towards neighbors in
-    the destination part q; other neighbors do not change crossing status.
+def _part_signs(taus: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """+1 where taus[i] holds moves[i]'s departed part, -1 where it holds
+    the destination part, 0 elsewhere; int8."""
+    signs = (taus == moves[:, 1:2]).astype(np.int8)
+    signs -= taus == moves[:, 2:3]
+    return signs
+
+
+def step_signs(inst: Instance, taus: np.ndarray, moves: np.ndarray):
+    """Signed neighbour rows of moves[i] = (v, p, q) made from taus[i].
+
+    Returns (signs, ids): signs[i, u] is +1 towards a neighbour u of v
+    sitting in the departed part p, -1 towards one in the destination
+    part q and 0 elsewhere (non-neighbours and v itself included);
+    ids[i, u] is the index of edge {v, u}, -1 on non-edges.  Row i is
+    the move's column of the step matrix, read by edge index.
     """
-    col = []
-    for u, e, _ in inst.neighbors(m.v):
-        if tau[u] == m.p:
-            col.append((e, 1))
-        elif tau[u] == m.q:
-            col.append((e, -1))
-    col.sort()
-    return tuple(col)
+    ids = inst.edge_ids().take(moves[:, 0], axis=0)
+    signs = _part_signs(taus, moves)
+    signs *= ids >= 0
+    return signs, ids
+
+
+def step_deltas(inst: Instance, taus: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """Improvement numerators of the moves: each signed row's inner product
+    with the mover's weight row, int64 within weight_matrix's overflow rule
+    and Python ints beyond it.  The weight row is zero off v's edges, so
+    the row needs no edge mask."""
+    weights = inst.weight_matrix().take(moves[:, 0], axis=0)
+    return (_part_signs(taus, moves) * weights).sum(axis=1)
+
+
+# a chunk of at most this many configuration cells bounds the kernel's
+# temporaries to a few MB whatever the trace length
+_CHUNK_CELLS = 2 ** 18
+
+
+def sequence_chunks(inst: Instance, tau0: Sequence[int], moves):
+    """A move sequence played from tau0, in chunks of consecutive steps.
+
+    Yields (first step index, moves, taus) with moves a c x 3 int32 array
+    and taus[i] the configuration moves[i] starts from.  Each cell of taus
+    is looked up in the chunk's start configuration followed by its
+    destination parts, at the index a maximum.accumulate carries down
+    from the last step that moved the cell's vertex.  Moves are not
+    validated.
+    """
+    moves = np.fromiter(chain.from_iterable(moves), dtype=np.int32,
+                        count=3 * len(moves)).reshape(-1, 3)
+    tau = np.array(tau0, dtype=np.int32)
+    n = inst.n
+    size = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, len(moves), size):
+        chunk = moves[lo:lo + size]
+        c = len(chunk)
+        at = np.empty((c, n), dtype=np.int32)
+        at[:] = np.arange(n)
+        at[np.arange(1, c), chunk[:-1, 0]] = np.arange(n, n + c - 1)
+        np.maximum.accumulate(at, axis=0, out=at)
+        taus = np.concatenate((tau, chunk[:, 2])).take(at)
+        yield lo, chunk, taus
+        tau = taus[-1].copy()
+        tau[chunk[-1, 0]] = chunk[-1, 2]
 
 
 def move_delta_num(inst: Instance, tau: Sequence[int], m: Move) -> int:
-    """Numerator of H(apply(tau,m)) - H(tau) over inst.denom: the inner
-    product of the move's column with the weight numerators."""
-    return sum(val * inst.weight_nums[e] for e, val in step_column(inst, tau, m))
+    """Numerator of H(apply(tau,m)) - H(tau) over inst.denom: the kernel's
+    one-row case."""
+    deltas = step_deltas(inst, np.array([tau], dtype=np.intp), np.array([m], dtype=np.intp))
+    return int(deltas[0])
 
 
 def move_delta(inst: Instance, tau: Sequence[int], m: Move) -> Fraction:
@@ -305,16 +369,13 @@ def improving_moves(inst: Instance, tau: Sequence[int]):
     """All (Move, delta) with strictly positive exact delta.
 
     Empty result means tau is a local max-k-cut.  Moves are ordered by
-    (vertex, destination part).
+    (vertex, destination part); all n(k-1) of them are scored in one
+    kernel call.
     """
     check_configuration(inst, tau)
-    out = []
-    for v in range(inst.n):
-        for q in range(1, inst.k + 1):
-            if q == tau[v]:
-                continue
-            m = Move(v, tau[v], q)
-            d = move_delta_num(inst, tau, m)
-            if d > 0:
-                out.append((m, Fraction(d, inst.denom)))
-    return out
+    tau = np.array(tau, dtype=np.intp)
+    v, q = np.nonzero(np.arange(1, inst.k + 1) != tau[:, None])
+    moves = np.stack([v, tau[v], q + 1], axis=1)
+    deltas = step_deltas(inst, np.broadcast_to(tau, (len(moves), inst.n)), moves)
+    return [(Move(*map(int, m)), Fraction(int(d), inst.denom))
+            for m, d in zip(moves, deltas) if d > 0]

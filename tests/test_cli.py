@@ -123,3 +123,15 @@ def test_bad_beta_exits_2(tmp_path, capsys, beta):
                  "--beta", beta]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "beta" in err
+
+
+@pytest.mark.parametrize("command", [["certify", "--mode", "k2"], ["analyze"]])
+def test_trace_without_instance_header_exits_2(tmp_path, capsys, command):
+    ipath, tpath = _write_trace(tmp_path, run_random(10, 2, 1))
+    with open(tpath) as fh:
+        lines = [ln for ln in fh if not ln.startswith("# instance ")]
+    with open(tpath, "w") as fh:
+        fh.writelines(lines)
+    assert main([command[0], "--instance", ipath, "--trace", tpath, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "instance header" in err

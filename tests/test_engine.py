@@ -191,6 +191,18 @@ def test_trace_text_rejects_other_instance():
         fb.trace_from_text(other, fb.trace_to_text(trace))
 
 
+def test_trace_text_requires_one_instance_header():
+    trace = run_random(12, 2, 16)
+    text = fb.trace_to_text(trace)
+    header = text.splitlines()[0]
+    assert header.startswith("# instance ")
+    with pytest.raises(fb.ModelError, match="missing instance header"):
+        fb.trace_from_text(trace.instance, text.replace(header + "\n", ""))
+    with pytest.raises(fb.ModelError, match="repeats its instance header"):
+        fb.trace_from_text(trace.instance, header + "\n" + text)
+    assert fb.trace_from_text(trace.instance, text).steps == trace.steps
+
+
 def test_trace_text_rejects_edited_delta():
     trace = run_random(12, 2, 15)
     lines = fb.trace_to_text(trace).splitlines()

@@ -192,6 +192,34 @@ def test_rank_campaign_certifies_reached_windows(monkeypatch):
     assert sum(r["cert_arcs"] for r in rows[4:]) > 0
 
 
+def test_rank_trial_builds_one_P(monkeypatch):
+    # the trial's P serves both the certificate's validation and the rank
+    monkeypatch.setattr(harness, "window_length", lambda k, beta, n: n // 2)
+    from flipbench import certificates, matrices
+    calls = {"P": 0, "M": 0}
+    real_p, real_m = matrices.build_P, matrices.build_M
+
+    def counting_p(*args, **kw):
+        calls["P"] += 1
+        return real_p(*args, **kw)
+
+    def counting_m(*args, **kw):
+        calls["M"] += 1
+        return real_m(*args, **kw)
+
+    monkeypatch.setattr(harness, "build_P", counting_p)
+    monkeypatch.setattr(certificates, "build_P", counting_p)
+    monkeypatch.setattr(matrices, "build_M", counting_m)
+    # step matrices per trial: P's, the witness columns' and, for the half
+    # certificate, the builder's
+    for k, seed, step_matrices in ((2, 0, 2), (4, 0, 3)):
+        calls.update(P=0, M=0)
+        cfg = ExperimentConfig(mode="rank", n_grid=(24,), k=k, trials=1, seed=seed)
+        (row,) = fb.exp_rank_campaign(cfg)[1]
+        assert row["status"] == "ok" and row["violation"] == 0
+        assert calls == {"P": 1, "M": step_matrices}
+
+
 def test_mc_experiment_within_tolerance():
     cfg = ExperimentConfig(mode="mc", phi_grid=(Fraction(1),),
                            samples=100_000, seed=4)

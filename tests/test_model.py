@@ -4,11 +4,12 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flipbench as fb
 from flipbench.model import (check_configuration, move_delta_num,
-                             parse_configuration, step_column, validate_move)
+                             parse_configuration, validate_move)
 
 from conftest import random_tau0, smoothed_instance
 
@@ -127,7 +128,8 @@ def test_move_delta_num_sign_convention():
                        weight_nums=(5, -3), denom=fb.DEFAULT_DENOM)
     tau = (1, 1, 2)
     # neighbors: 0 in departed part (+5), 2 in destination part (-(-3))
-    assert step_column(inst, tau, fb.Move(1, 1, 2)) == ((0, 1), (1, -1))
+    step = fb.replay(inst, tau, [fb.Move(1, 1, 2)])
+    assert fb.build_M(step).column(0) == ((0, 1), (1, -1))
     assert move_delta_num(inst, tau, fb.Move(1, 1, 2)) == 5 + 3
 
 
@@ -135,7 +137,9 @@ def test_edge_index_and_neighbors():
     inst = smoothed_instance(5, 2, 1)
     assert inst.edge_index(3, 1) == inst.edge_index(1, 3)
     assert inst.edge_index(0, 4) is not None
-    assert len(inst.neighbors(0)) == 4
+    assert int((inst.edge_ids()[0] >= 0).sum()) == 4
+    assert inst.edge_index(2, 2) is None
+    assert inst.edge_index(0, 5) is None and inst.edge_index(-1, 2) is None
     assert inst.m == 10
 
 
@@ -153,3 +157,20 @@ def test_cached_hash_and_weight_matrix():
     again = fb.Instance(n=inst.n, k=inst.k, edges=inst.edges, weight_nums=inst.weight_nums,
                         denom=inst.denom, phi=inst.phi)
     assert again == inst and again._hash is None and again._weights is None
+
+
+def test_cached_edge_ids_and_arrays():
+    inst = smoothed_instance(9, 3, 8, kind="gnp")
+    ids = inst.edge_ids()
+    assert ids is inst.edge_ids() and not ids.flags.writeable
+    assert (ids == ids.T).all() and (ids.diagonal() == -1).all()
+    assert int((ids >= 0).sum()) == 2 * inst.m
+    u, v, nums = inst.edge_arrays()
+    assert inst.edge_arrays()[0] is u and not nums.flags.writeable
+    for e, ((a, b), num) in enumerate(zip(inst.edges, inst.weight_nums)):
+        assert ids[a, b] == e and (u[e], v[e], nums[e]) == (a, b, num)
+    assert nums.dtype == np.int64
+    # beyond m * denom < 2**63 the numerators stay Python ints
+    big = fb.make_instance("complete", 12, 3, fb.SmoothingProfile(phi=1, seed=5), denom=2 ** 70)
+    assert big.edge_arrays()[2].dtype == object
+    assert big.total_weight() == Fraction(sum(big.weight_nums), big.denom)

@@ -17,7 +17,7 @@ ALLOWED = {
     # test references: the brute-force improving set and the simplex frame
     "improving_moves", "simplex_vectors",
     # named by acceptance criteria 1, 2 and 6
-    "move_delta", "weighted_column_sums", "find_alpha_cyclic_block",
+    "move_delta", "apply_move", "weighted_column_sums", "find_alpha_cyclic_block",
     # the paper's good-arc definition, checked against certificate witnesses
     "is_good_arc",
 }
