@@ -16,7 +16,7 @@ from .analysis import (BlockNotFoundError, BlockView, Cycle, CycleSet, Pair,
                        find_alpha_cyclic_block, find_critical_block,
                        occurrence_stats, pairs, surplus,
                        transition_singleton_blocks, two_critical_block)
-from .matrices import (SignMatrix, build_M, build_P, columns_for, exact_rank,
+from .matrices import (SignMatrix, build_M, build_P, exact_rank,
                        weighted_column_sums)
 from .certificates import (Arc, CertificateError, CertificateGraph,
                            build_3cut_certificate, build_half_certificate,

@@ -73,6 +73,11 @@ class Pair(NamedTuple):
     t1: int
     t2: int
 
+    @property
+    def times(self) -> tuple:
+        """(t1, t2), as a Cycle names its time-steps."""
+        return (self.t1, self.t2)
+
 
 def pairs(moves: Sequence[Move]):
     """All consecutive-occurrence pairs, in (vertex, time) order."""
@@ -98,9 +103,6 @@ class Cycle:
 class CycleSet:
     cycles: tuple
     truncated: bool = False
-
-    def over(self, v: int):
-        return tuple(c for c in self.cycles if c.v == v)
 
 
 def cycles(moves: Sequence[Move], k: int, cap: int = DEFAULT_CYCLE_CAP) -> CycleSet:

@@ -5,6 +5,9 @@ arc v->u carries a witness column (a pair or cycle over the tail v) whose
 entry on edge {u,v} is nonzero, and the per-tail arc ordering satisfies a
 staircase zero pattern, which forces the corresponding rows of the
 combined matrix P to be linearly independent.  Hence rank(P) >= #arcs.
+Every witness is a column of the trace's P (pairs for k=2, minimal
+cycles otherwise), and builders and validator alike read it from the P
+that build_P keeps on the trace.
 
 Three constructions are provided:
   * k=2 blocks: functional reverse-BFS graph from the singleton vertices,
@@ -27,10 +30,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (Cycle, classify_cyclic, cycles, cyclic_acyclic_blocks,
+from .analysis import (Cycle, classify_cyclic, cyclic_acyclic_blocks,
                        occurrence_stats, transition_singleton_blocks)
 from .engine import Trace
-from .matrices import SignMatrix, build_P, columns_for, exact_rank
+from .matrices import SignMatrix, build_P, exact_rank
 from .model import ModelError
 from .thresholds import Beta
 
@@ -78,42 +81,41 @@ class Verdict:
     reason: str = ""
 
 
-# --- good arcs ---------------------------------------------------------------
+# --- witness columns ---------------------------------------------------------
 
-def _occurrences_between(times, t1: int, t2: int) -> int:
-    return sum(1 for t in times if t1 < t < t2)
+def _witness_columns(trace: Trace):
+    """(P, columns): the trace's P and its column numbers keyed by
+    (tail, 1-based time-steps) of each pair (k=2) or minimal cycle, in
+    P's column order, which lists a vertex's columns in label order."""
+    p = build_P(trace, "pairs" if trace.instance.k == 2 else "cycles")
+    return p, {(lab.v, lab.times): j for j, lab in enumerate(p.col_labels)}
+
+
+def _heads(trace: Trace, p: SignMatrix, j: int, v: int) -> list:
+    """The vertices u whose edge {v, u} carries a nonzero entry of column
+    j of p, a column over v, in edge order."""
+    u, w, _ = trace.instance.edge_arrays()
+    rows = p.rows[p.ptr[j]:p.ptr[j + 1]]
+    return (u[rows] + w[rows] - v).tolist()
 
 
 def is_good_arc(trace: Trace, v: int, u: int):
     """(verdict, witness times): some pair/cycle over v hits edge {u,v}.
 
-    For k=2 a pair of v works iff u appears an odd number of times
-    strictly between the two time-steps; for general k the combined
-    columns of v's cycles are scanned directly.
+    The first such column of P over v is the witness.  For k=2 a pair of
+    v hits {u,v} iff u moves an odd number of times strictly between its
+    two time-steps.
     """
-    inst = trace.instance
-    stats = occurrence_stats(trace.moves)
-    if v not in stats.moving:
+    if v not in occurrence_stats(trace.moves).moving:
         raise CertificateError(f"vertex {v} does not move")
     if u == v:
         raise CertificateError("arc endpoints must differ")
-    if inst.k == 2:
-        if inst.edge_index(u, v) is None:
-            return False, None
-        ts_v = stats.times[v]
-        ts_u = stats.times.get(u, ())
-        for t1, t2 in zip(ts_v, ts_v[1:]):
-            if _occurrences_between(ts_u, t1, t2) % 2 == 1:
-                return True, (t1, t2)
+    if trace.instance.edge_index(u, v) is None:
         return False, None
-    e = inst.edge_index(u, v)
-    if e is None:
-        return False, None
-    v_cycles = cycles(trace.moves, inst.k).over(v)
-    mat = columns_for(trace, [cyc.times for cyc in v_cycles])
-    for j, cyc in enumerate(v_cycles):
-        if mat.entry(e, j) != 0:
-            return True, cyc.times
+    p, columns = _witness_columns(trace)
+    for (tail, times), j in columns.items():
+        if tail == v and u in _heads(trace, p, j, v):
+            return True, times
     return False, None
 
 
@@ -137,20 +139,14 @@ def build_k2_certificate(trace: Trace, beta: Beta):
     if not beta.qualifies(len(moves), stats.s):
         raise CertificateError("block does not meet the criticality threshold")
 
-    # all good arcs out of repeating vertices, with one witness each
+    # all good arcs out of repeating vertices, each with its first pair
     witness: dict = {}
     heads: dict = {v: set() for v in stats.repeating}
-    for v in sorted(stats.repeating):
-        ts_v = stats.times[v]
-        for a, b in zip(ts_v, ts_v[1:]):
-            inside: dict = {}
-            for t in range(a + 1, b):
-                w = moves[t - 1].v
-                inside[w] = inside.get(w, 0) + 1
-            for u, cnt in inside.items():
-                if cnt % 2 == 1 and u != v and inst.edge_index(u, v) is not None:
-                    heads[v].add(u)
-                    witness.setdefault((v, u), (a, b))
+    p, columns = _witness_columns(trace)
+    for (v, times), j in columns.items():
+        for u in _heads(trace, p, j, v):
+            heads[v].add(u)
+            witness.setdefault((v, u), times)
 
     # reverse BFS from the singletons along good arcs
     tails_of: dict = {}
@@ -373,15 +369,12 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
         window_cycles.append(chosen)
         window_gap_sets.append(gap_vertices)
 
-    mat = columns_for(trace, [cyc.times for cyc in window_cycles])
+    # leaping cycles are minimal cycles, so each is a column of P
+    p, columns = _witness_columns(trace)
     witnesses = []
-    for r in range(big_r):
-        found = None
-        for u in sorted(window_gap_sets[r]):
-            e = inst.edge_index(u, v)
-            if e is not None and mat.entry(e, r) != 0:
-                found = u
-                break
+    for r, cyc in enumerate(window_cycles):
+        heads = _heads(trace, p, columns[(v, cyc.times)], v)
+        found = next((u for u in sorted(window_gap_sets[r]) if u in heads), None)
         if found is None:
             raise CertificateError(
                 f"no gap witness with nonzero entry for window {r + 1}")
@@ -451,31 +444,23 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
     on some edge at its vertex; failure of that search means the trace
     was not improving and is reported as a contract violation.
     """
-    inst = trace.instance
     if any(d <= 0 for d in trace.delta_nums):
         raise CertificateError("trace is not improving")
-    moves = trace.moves
-    cyclic_set, _ = classify_cyclic(moves, inst.k)
-    cyc_set = cycles(moves, inst.k)
-    chosen: dict = {}
-    for v in sorted(cyclic_set):
-        v_cycles = cyc_set.over(v)
-        if not v_cycles:
-            raise CertificateError(f"cyclic vertex {v} has no enumerated cycle")
-        chosen[v] = v_cycles[0]
-    mat = columns_for(trace, [cyc.times for cyc in chosen.values()])
+    cyclic_set, _ = classify_cyclic(trace.moves, trace.instance.k)
+    p, columns = _witness_columns(trace)
+    first: dict = {}
+    for (v, times), j in columns.items():
+        first.setdefault(v, (times, j))
     arcs: dict = {}
-    for j, (v, cyc) in enumerate(chosen.items()):
-        head = None
-        for r, val in mat.column(j):
-            u, w = inst.edges[r]
-            other = u if w == v else w
-            if val != 0 and v in (u, w):
-                head = other if head is None else min(head, other)
-        if head is None:
+    for v in sorted(cyclic_set):
+        if v not in first:
+            raise CertificateError(f"cyclic vertex {v} has no enumerated cycle")
+        times, j = first[v]
+        heads = _heads(trace, p, j, v)
+        if not heads:
             raise CertificateError(
                 f"cycle column of vertex {v} is all-zero: trace was not improving")
-        arcs[v] = Arc(v=v, u=head, witness=cyc.times)
+        arcs[v] = Arc(v=v, u=min(heads), witness=times)
 
     # break the node-disjoint directed cycles of the functional graph
     removed = set()
@@ -493,8 +478,8 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
             # walk closed on itself: drop the arc leaving the smallest node
             loop = path[path.index(node):]
             removed.add(min(loop))
-        for p in path:
-            color[p] = "done"
+        for w in path:
+            color[w] = "done"
 
     arcs_by_tail = {v: (arc,) for v, arc in arcs.items() if v not in removed}
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
@@ -502,7 +487,7 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
     if 2 * graph.n_arcs < c:
         raise CertificateError("cycle breaking removed too many arcs")
     if check_rank:
-        rank = exact_rank(build_P(trace, "cycles", cycle_set=cyc_set))
+        rank = exact_rank(p)
         if rank < graph.n_arcs:
             raise CertificateError(
                 f"exact rank {rank} below certified bound {graph.n_arcs}")
@@ -511,17 +496,16 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
 
 # --- validation --------------------------------------------------------------
 
-def validate_certificate(graph: CertificateGraph, trace: Trace,
-                         full_p: SignMatrix | None = None) -> Verdict:
+def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     """Adversarial re-check of a certificate against the real matrix.
 
-    Verifies acyclicity, nonzero witness entries, the per-tail staircase
-    zero pattern, distinct edge rows, and full row rank of the witness-row
-    submatrix of P over all pair (k=2) or cycle columns of the trace.  A
-    caller that has built that P already passes it as full_p; otherwise it
-    is built here.  Full row rank is proven mod a prime of the validator's
-    own (a code path independent of exact_rank); only when that check sees
-    a deficiency does plain rational elimination decide.
+    Verifies acyclicity, that every witness is a pair (k=2) or cycle
+    column of P over its arc's tail, nonzero witness entries, the
+    per-tail staircase zero pattern, distinct edge rows, and full row
+    rank of the witness-row submatrix of P over all its columns.  Full
+    row rank is proven mod a prime of the validator's own (a code path
+    independent of exact_rank); only when that check sees a deficiency
+    does plain rational elimination decide.
     """
     inst = trace.instance
     arcs = graph.arcs
@@ -548,14 +532,16 @@ def validate_certificate(graph: CertificateGraph, trace: Trace,
         if state.get(node) is None and not dfs(node):
             return Verdict(valid=False, rank_bound=0, reason="graph has a directed cycle")
 
-    # witness entries and staircase, on one column per distinct witness;
-    # columns hold nonzero entries only
-    witnesses = tuple(dict.fromkeys(arc.witness for arc in arcs))
-    try:
-        mat = columns_for(trace, witnesses)
-    except ModelError as exc:
-        return Verdict(valid=False, rank_bound=0, reason=f"witness {exc}")
-    wit_cols = {wit: dict(col) for wit, col in zip(witnesses, mat.cols)}
+    # witness entries and staircase, on the heads of each witness column
+    p, columns = _witness_columns(trace)
+    heads_of: dict = {}
+    for arc in arcs:
+        key = (arc.v, arc.witness)
+        if key not in columns:
+            return Verdict(valid=False, rank_bound=0,
+                           reason=f"arc {arc.v}->{arc.u}: witness {arc.witness} is not "
+                                  f"a pair or cycle of vertex {arc.v}")
+        heads_of[key] = set(_heads(trace, p, columns[key], arc.v))
 
     rows_of: dict = {}
     for arc in arcs:
@@ -567,28 +553,26 @@ def validate_certificate(graph: CertificateGraph, trace: Trace,
             return Verdict(valid=False, rank_bound=0,
                            reason=f"arc {arc.v}->{arc.u}: duplicate edge row")
         rows_of[e] = len(rows_of)
-        if e not in wit_cols[arc.witness]:
+        if arc.u not in heads_of[(arc.v, arc.witness)]:
             return Verdict(valid=False, rank_bound=0,
                            reason=f"arc {arc.v}->{arc.u}: witness entry is zero")
     for v, ordered in graph.arcs_by_tail.items():
         for i, arc_i in enumerate(ordered):
             for arc_j in ordered[i + 1:]:
-                if inst.edge_index(arc_j.u, v) in wit_cols[arc_i.witness]:
+                if arc_j.u in heads_of[(arc_i.v, arc_i.witness)]:
                     return Verdict(
                         valid=False, rank_bound=0,
                         reason=f"staircase broken at {v}->{arc_j.u} on witness of {v}->{arc_i.u}")
 
     # full row rank of the arcs' edge rows over all pair/cycle columns of
     # the trace, read in one pass over P
-    if full_p is None:
-        full_p = build_P(trace, "pairs" if inst.k == 2 else "cycles")
-    row_at = np.full(full_p.n_rows, -1, dtype=np.intp)
+    row_at = np.full(p.n_rows, -1, dtype=np.intp)
     row_at[list(rows_of)] = np.arange(len(rows_of))
-    at = row_at[full_p.rows]
+    at = row_at[p.rows]
     hit = at >= 0
-    col_of = np.repeat(np.arange(full_p.n_cols), np.diff(full_p.ptr))
-    rows = np.zeros((len(rows_of), full_p.n_cols), dtype=np.int64)
-    rows[at[hit], col_of[hit]] = full_p.vals[hit]
+    col_of = np.repeat(np.arange(p.n_cols), np.diff(p.ptr))
+    rows = np.zeros((len(rows_of), p.n_cols), dtype=np.int64)
+    rows[at[hit], col_of[hit]] = p.vals[hit]
     if not _full_row_rank_mod_p(rows):
         rank = _rational_row_rank([[Fraction(x) for x in r] for r in rows.tolist()])
         if rank != len(arcs):
@@ -660,10 +644,9 @@ BUILDERS = {
 }
 
 
-def certify(trace: Trace, mode: str, beta: Beta, full_p: SignMatrix | None = None):
-    """Build the mode's certificate and validate it: (graph, bound, verdict).
-    full_p is the trace's P when the caller has built it already."""
+def certify(trace: Trace, mode: str, beta: Beta):
+    """Build the mode's certificate and validate it: (graph, bound, verdict)."""
     if mode not in BUILDERS:
         raise CertificateError(f"unknown certificate mode {mode!r}")
     graph, bound = BUILDERS[mode](trace, beta)
-    return graph, bound, validate_certificate(graph, trace, full_p)
+    return graph, bound, validate_certificate(graph, trace)

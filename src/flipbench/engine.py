@@ -9,7 +9,7 @@ integer numerators over the instance denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,7 +51,12 @@ class PivotRule:
 
 @dataclass(frozen=True)
 class Trace:
-    """A validated move sequence with exact per-step improvements."""
+    """A validated move sequence with exact per-step improvements.
+
+    _matrices holds the trace's step matrix and combined matrices once
+    matrices.build_M / build_P have built them, keyed by "M" or the
+    combine mode; it is created on first use, so a run pays nothing.
+    """
 
     instance: Instance
     tau0: tuple
@@ -59,6 +64,7 @@ class Trace:
     step_cap_hit: bool = False
     rule: str = ""
     seed: int = 0
+    _matrices: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.steps)
@@ -70,14 +76,6 @@ class Trace:
     @property
     def delta_nums(self):
         return tuple(d for _, d in self.steps)
-
-    def configurations(self):
-        """tau_0, tau_1, ..., tau_ell."""
-        tau = list(self.tau0)
-        yield tuple(tau)
-        for move, _ in self.steps:
-            tau[move.v] = move.q
-            yield tuple(tau)
 
     def configuration_at(self, t: int) -> tuple:
         """tau_t, the configuration after step t (t=0 gives tau0)."""

@@ -82,6 +82,11 @@ class ExperimentConfig:
             raise HarnessError(f"eps={self.eps} must be positive")
         if not math.isfinite(self.eta):
             raise HarnessError(f"eta={self.eta} must be finite")
+        if self.mode == "approx":
+            if max(self.n_grid) > 12:
+                raise HarnessError("approx mode requires n <= 12")
+            if phi_num < phi_den:
+                raise HarnessError("nonnegative weights need phi >= 1 with centers at 1/2")
 
 
 # config key -> converter from its value text; one entry per config field
@@ -257,10 +262,9 @@ def _rank_trial(args):
     # the lemma's rank lower bound for the block, beside the certificate's own
     bound = {"k2": cfg.beta.ceil_rank_bound(stats.s), "3cut": -(-stats.s // 32),
              "half": -(-len(cyc) // 2)}[mode]
-    # one P serves the certificate's validation and the exact rank
-    full_p = build_P(sub, "pairs" if cfg.k == 2 else "cycles")
-    graph, _, verdict = certify(sub, mode, cfg.beta, full_p)
-    rank = exact_rank(full_p)
+    # the certificate and the exact rank read the one P kept on sub
+    graph, _, verdict = certify(sub, mode, cfg.beta)
+    rank = exact_rank(build_P(sub, "pairs" if cfg.k == 2 else "cycles"))
     violation = int(rank < bound or rank < graph.n_arcs or not verdict.valid)
     return {**base, "status": "ok", "ell": len(sub.moves), "s": stats.s,
             "c": len(cyc), "rank": rank, "bound": bound,
@@ -403,11 +407,8 @@ def _approx_trial(args):
 
 
 def approx_check(cfg: ExperimentConfig):
-    for n in cfg.n_grid:
-        if n > 12:
-            raise HarnessError("approx mode requires n <= 12")
-    if min(float(p) for p in cfg.phi_grid) < 1:
-        raise HarnessError("nonnegative weights need phi >= 1 with centers at 1/2")
+    """Brute-force OPT against FLIP's local optimum; the config has checked
+    n <= 12 and phi >= 1."""
     tasks = [(cfg, n, phi, t) for n in cfg.n_grid for phi in cfg.phi_grid
              for t in range(cfg.trials)]
     rows = _fan_out(_approx_trial, tasks, cfg.jobs)

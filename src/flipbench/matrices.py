@@ -30,7 +30,8 @@ class SignMatrix:
     Column j has the entries vals[ptr[j]:ptr[j+1]] on the rows
     rows[ptr[j]:ptr[j+1]], with strictly increasing row indices and
     nonzero integer entries.  col_labels carries the object a column came
-    from (a time-step, a Pair, or a Cycle).
+    from (a time-step, a Pair, or a Cycle).  Built matrices have
+    read-only arrays, since a trace shares its matrices with every caller.
     """
 
     n_rows: int
@@ -49,22 +50,6 @@ class SignMatrix:
         pairs = list(zip(self.rows.tolist(), self.vals.tolist()))
         ptr = self.ptr.tolist()
         return tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    def entry(self, i: int, j: int) -> int:
-        for r, val in self.cols[j]:
-            if r == i:
-                return val
-        return 0
-
-    def column(self, j: int):
-        return self.cols[j]
-
-    def dense(self):
-        out = [[0] * self.n_cols for _ in range(self.n_rows)]
-        for j, col in enumerate(self.cols):
-            for r, val in col:
-                out[r][j] = val
-        return out
 
     def row_support(self):
         """Row indices with at least one nonzero entry."""
@@ -88,15 +73,31 @@ def _from_cells(n_rows: int, n_cols: int, cols, rows, vals, labels) -> SignMatri
     key, vals = key[keep], vals[keep]
     ptr = np.searchsorted(key, np.arange(n_cols + 1) * stride)
     rows = key - np.repeat(np.arange(n_cols) * stride, np.diff(ptr))
+    for a in (ptr, rows, vals):
+        a.flags.writeable = False
     return SignMatrix(n_rows=n_rows, ptr=ptr, rows=rows, vals=vals, col_labels=labels)
+
+
+def _memo(trace: Trace, key: str, build) -> SignMatrix:
+    """The trace's matrix under key, built by build() on first use."""
+    if trace._matrices is None:
+        object.__setattr__(trace, "_matrices", {})
+    if key not in trace._matrices:
+        trace._matrices[key] = build()
+    return trace._matrices[key]
 
 
 def build_M(trace: Trace) -> SignMatrix:
     """Step matrix of a trace; <column t, X> equals the step-t improvement.
 
     Read off the model's step-sign kernel: column t holds the nonzero
-    signs of step t's row, on the edges their ids name.
+    signs of step t's row, on the edges their ids name.  Built once per
+    trace.
     """
+    return _memo(trace, "M", lambda: _step_matrix(trace))
+
+
+def _step_matrix(trace: Trace) -> SignMatrix:
     inst = trace.instance
     steps = [np.zeros(0, np.intp)]
     rows = [np.zeros(0, np.int32)]
@@ -127,35 +128,29 @@ def _combine(m: SignMatrix, time_lists, labels) -> SignMatrix:
 def build_P(trace: Trace, mode: str, cycle_set: CycleSet | None = None) -> SignMatrix:
     """Combined matrix: one column per pair (k=2) or per minimal cycle.
 
-    Entries can reach +/-k in magnitude.  In cycle mode a truncated cycle
-    set is refused, since a partial column family would silently weaken
-    every rank statement made about the result.
+    Built once per trace and mode; an explicit cycle_set bypasses that
+    memo.  Entries can reach +/-k in magnitude.  In cycle mode a
+    truncated cycle set is refused, since a partial column family would
+    silently weaken every rank statement made about the result.
     """
-    m = build_M(trace)
+    if mode not in ("pairs", "cycles"):
+        raise ModelError(f"unknown combine mode {mode!r}")
+    if cycle_set is None:
+        return _memo(trace, mode, lambda: _build_P(trace, mode, None))
+    return _build_P(trace, mode, cycle_set)
+
+
+def _build_P(trace: Trace, mode: str, cycle_set: CycleSet | None) -> SignMatrix:
     if mode == "pairs":
         labels = tuple(pairs(trace.moves))
-        time_lists = [(p.t1, p.t2) for p in labels]
-    elif mode == "cycles":
+    else:
         if cycle_set is None:
             cycle_set = cycles(trace.moves, trace.instance.k)
         if cycle_set.truncated:
             raise TruncatedCycleSetError(
                 "cycle enumeration was truncated; combined matrix would be partial")
         labels = cycle_set.cycles
-        time_lists = [c.times for c in labels]
-    else:
-        raise ModelError(f"unknown combine mode {mode!r}")
-    return _combine(m, time_lists, labels)
-
-
-def columns_for(trace: Trace, time_lists) -> SignMatrix:
-    """Combined columns for explicit 1-based time-step groups."""
-    time_lists = tuple(tuple(ts) for ts in time_lists)
-    for ts in time_lists:
-        for t in ts:
-            if not 1 <= t <= len(trace):
-                raise ModelError(f"time-step {t} outside 1..{len(trace)}")
-    return _combine(build_M(trace), time_lists, time_lists)
+    return _combine(build_M(trace), [lab.times for lab in labels], labels)
 
 
 # --- exact rank --------------------------------------------------------------

@@ -220,16 +220,6 @@ class SimplexFrame:
     vectors: tuple       # k tuples of k Fractions each
     norm_sq: Fraction    # squared length of each raw vector
 
-    def gram(self):
-        g = []
-        for i in range(self.k):
-            row = []
-            for j in range(self.k):
-                dot = sum(a * b for a, b in zip(self.vectors[i], self.vectors[j]))
-                row.append(dot / self.norm_sq)
-            g.append(tuple(row))
-        return tuple(g)
-
 
 def simplex_vectors(k: int) -> SimplexFrame:
     """Frame sigma(1..k) with <s_i,s_i> = 1 and <s_i,s_j> = -1/(k-1)."""

@@ -60,35 +60,32 @@ class Beta:
         """ceil((1+beta)*s), exactly."""
         if self.rational is not None:
             return s + math.ceil(self.rational * s)
-        # smallest t with 2*t^2 >= s^2 (t = ceil(s/sqrt(2)))
-        t = math.isqrt(s * s // 2)
-        while 2 * t * t < s * s:
-            t += 1
-        return s + t
+        return s + _ceil_over_sqrt2_plus(s, 0)
 
     def ceil_singleton_bound(self, s: int) -> int:
         """ceil(beta/(1+beta) * s), exactly."""
         if self.rational is not None:
             b = self.rational
             return math.ceil(b * s / (1 + b))
-        # smallest t with t*(1+sqrt2)/sqrt2 >= s, i.e. s-t <= 0 or 2t^2 >= (s-t)^2
-        t = 0
-        while True:
-            rem = s - t
-            if rem <= 0 or 2 * t * t >= rem * rem:
-                return t
-            t += 1
+        return _ceil_over_sqrt2_plus(s, 1)
 
     def ceil_rank_bound(self, s: int) -> int:
         """ceil(beta/(1+2*beta) * s), exactly."""
         if self.rational is not None:
             b = self.rational
             return math.ceil(b * s / (1 + 2 * b))
-        # smallest t with t >= s/(sqrt(2)+2), i.e. t*(sqrt2+2) >= s,
-        # i.e. s-2t <= 0 or 2*t^2 >= (s-2t)^2
-        t = 0
-        while True:
-            rem = s - 2 * t
-            if rem <= 0 or 2 * t * t >= rem * rem:
-                return t
-            t += 1
+        return _ceil_over_sqrt2_plus(s, 2)
+
+
+def _ceil_over_sqrt2_plus(s: int, a: int) -> int:
+    """ceil(s / (sqrt2 + a)) for s, a >= 0: the smallest t >= 0 with
+    t*(sqrt2 + a) >= s, i.e. s - a*t <= 0 or 2*t^2 >= (s - a*t)^2.
+
+    With r = isqrt(2*s^2), sqrt2 < (r+1)/s, so s^2 // (r + 1 + a*s) never
+    exceeds the answer and falls short of it by at most two; the search
+    counts up from there.
+    """
+    t = s * s // (math.isqrt(2 * s * s) + 1 + a * s)
+    while s - a * t > 0 and 2 * t * t < (s - a * t) ** 2:
+        t += 1
+    return t

@@ -12,13 +12,55 @@ arbitrary improving sequences.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 import flipbench as fb
+from flipbench import analysis, matrices
 
 GRID = 2 ** 20
+
+
+class MatrixBuilds:
+    """Counts step matrices and P's constructed, not build calls: the
+    distinct objects build_M and build_P return, plus cycle enumerations,
+    wherever the package or its re-exports name them."""
+
+    def __init__(self, monkeypatch):
+        self.made = {"M": [], "P": []}
+        self.cycles = 0
+        real_m, real_p, real_cycles = matrices.build_M, matrices.build_P, analysis.cycles
+
+        def build_m(trace):
+            self.made["M"].append(real_m(trace))
+            return self.made["M"][-1]
+
+        def build_p(*args, **kw):
+            self.made["P"].append(real_p(*args, **kw))
+            return self.made["P"][-1]
+
+        def enumerate_cycles(*args, **kw):
+            self.cycles += 1
+            return real_cycles(*args, **kw)
+
+        patches = {real_m: build_m, real_p: build_p, real_cycles: enumerate_cycles}
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "flipbench":
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in patches:
+                        monkeypatch.setattr(module, attr, patches[value])
+
+    def reset(self):
+        self.made = {"M": [], "P": []}
+        self.cycles = 0
+
+    def counts(self) -> dict:
+        """Matrices built since the last reset (objects are kept alive, so
+        their ids are distinct) and cycle enumerations."""
+        return {"M": len({id(m) for m in self.made["M"]}),
+                "P": len({id(p) for p in self.made["P"]}), "cycles": self.cycles}
 
 
 def smoothed_instance(n: int, k: int, seed: int, phi=1, kind: str = "complete",

@@ -1,16 +1,14 @@
 """Certificates: good arcs, constructions for k=2/3/general, validation."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 import flipbench as fb
-from flipbench import matrices
 from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
-from conftest import (random_tau0, run_random, smoothed_instance, synth_trace,
+from conftest import (MatrixBuilds, run_random, smoothed_instance, synth_trace,
                       synth_traces)
 
 
@@ -19,13 +17,19 @@ def _k2_trace(moves, n=3):
     return fb.replay(inst, tuple([1] * n), moves)
 
 
+def _witness_entry(trace, times, e):
+    """Entry on edge row e of the sum of the step columns at times."""
+    m = fb.build_M(trace)
+    return sum(dict(m.cols[t - 1]).get(e, 0) for t in times)
+
+
 def test_good_arc_odd_parity():
     # v moves at 1 and 3, u once in between: arc v->u is good
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1)])
     good, wit = fb.is_good_arc(trace, 0, 1)
     assert good and wit == (1, 3)
     e = trace.instance.edge_index(0, 1)
-    assert fb.columns_for(trace, [wit]).entry(e, 0) != 0
+    assert _witness_entry(trace, wit, e) != 0
 
 
 def test_good_arc_even_parity_fails():
@@ -35,7 +39,7 @@ def test_good_arc_even_parity_fails():
     good, wit = fb.is_good_arc(trace, 0, 1)
     assert not good and wit is None
     e = trace.instance.edge_index(0, 1)
-    assert fb.columns_for(trace, [(1, 4)]).entry(e, 0) == 0
+    assert _witness_entry(trace, (1, 4), e) == 0
 
 
 def test_good_arc_requires_edge_and_sane_endpoints():
@@ -63,11 +67,11 @@ def test_good_arc_general_k_matches_cycle_scan():
                     continue
                 good, wit = fb.is_good_arc(trace, v, u)
                 e = inst.edge_index(u, v)
-                want = any(fb.columns_for(trace, [c.times]).entry(e, 0) != 0
-                           for c in cyc_set.over(v))
+                want = any(_witness_entry(trace, c.times, e) != 0
+                           for c in cyc_set.cycles if c.v == v)
                 assert good == want
                 if good:
-                    assert fb.columns_for(trace, [wit]).entry(e, 0) != 0
+                    assert _witness_entry(trace, wit, e) != 0
 
 
 def _collect_k2_blocks(want, seed0=0, with_singletons=True):
@@ -217,11 +221,30 @@ def test_validate_rejects_fabricated_arcs():
 def test_validate_rejects_witness_steps_outside_the_trace():
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1),
                        fb.Move(1, 2, 1)])
-    for witness, step in (((0, 2), 0), ((3, 5), 5)):
+    for witness in ((0, 2), (3, 5)):
         graph = CertificateGraph(arcs_by_tail={0: (Arc(0, 1, witness),)})
         verdict = fb.validate_certificate(graph, trace)
         assert not verdict.valid
-        assert f"time-step {step} outside 1..4" in verdict.reason
+        assert f"witness {witness} is not a pair or cycle of vertex 0" in verdict.reason
+
+
+def test_validate_rejects_witnesses_that_are_not_columns_of_P():
+    # a single step, and a pair of the head rather than the tail, both have
+    # a nonzero entry on {0,1} but are no pair of vertex 0
+    trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1)])
+    e = trace.instance.edge_index(0, 1)
+    assert _witness_entry(trace, (1,), e) != 0
+    paired = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1),
+                        fb.Move(1, 2, 1)])
+    assert _witness_entry(paired, (2, 4), e) != 0
+    for tr, witness in ((trace, (1,)), (paired, (2, 4))):
+        graph = CertificateGraph(arcs_by_tail={0: (Arc(0, 1, witness),)})
+        verdict = fb.validate_certificate(graph, tr)
+        assert not verdict.valid
+        assert f"witness {witness} is not a pair or cycle of vertex 0" in verdict.reason
+    # the pair of vertex 0 itself is a column of P and validates
+    graph = CertificateGraph(arcs_by_tail={0: (Arc(0, 1, (1, 3)),)})
+    assert fb.validate_certificate(graph, trace).valid
 
 
 def test_validate_rejects_directed_cycles_and_duplicate_rows():
@@ -288,39 +311,80 @@ def _leaping_k3_trace(b):
 
 
 def test_step_matrix_built_once_per_certificate(monkeypatch):
-    # every construction reads all its witness columns off one step matrix;
-    # validation needs one more for P
-    calls = []
-    real_build_m = matrices.build_M
-
-    def counting_build_m(trace):
-        calls.append(trace)
-        return real_build_m(trace)
-
-    monkeypatch.setattr(matrices, "build_M", counting_build_m)
-
-    def builds(fn, *args, **kw):
-        calls.clear()
-        fn(*args, **kw)
-        return len(calls)
-
+    # builders, validator and exact rank all read the one P kept on the
+    # trace: one step matrix, one P and one cycle enumeration per trace
+    builds = MatrixBuilds(monkeypatch)
+    one = {"M": 1, "P": 1, "cycles": 1}
     multi = 0
     for seed in range(10):
         trace = run_random(14, 4, 600 + seed)
         cyc, _ = fb.classify_cyclic(trace.moves, 4)
-        assert builds(fb.build_half_certificate, trace, check_rank=False) == 1
-        graph, _ = fb.build_half_certificate(trace, check_rank=False)
-        assert builds(fb.validate_certificate, graph, trace) <= 2
+        builds.reset()
+        graph, _ = fb.build_half_certificate(trace, check_rank=True)
+        assert fb.validate_certificate(graph, trace).valid
+        assert builds.counts() == one
         multi += len(cyc) >= 2
     assert multi >= 3
 
     trace = _leaping_k3_trace(13)
-    assert builds(fb.neighborwise_arcs_3cut, trace, 0) == 1
+    builds.reset()
     arcs = fb.neighborwise_arcs_3cut(trace, 0)
     assert len({arc.witness for arc in arcs}) >= 2
     graph = CertificateGraph(arcs_by_tail={0: tuple(arcs)})
     assert fb.validate_certificate(graph, trace).valid
-    assert builds(fb.validate_certificate, graph, trace) <= 2
-    assert len(fb.cycles(trace.moves, 3).over(0)) >= 2
     for u in range(1, trace.instance.n):
-        assert builds(fb.is_good_arc, trace, 0, u) == 1
+        fb.is_good_arc(trace, 0, u)
+    assert builds.counts() == one
+    assert len([c for c in fb.cycles(trace.moves, 3).cycles if c.v == 0]) >= 2
+
+    subs = []
+    for seed in range(60):
+        synth = synth_trace(12, 3, 5, 15, seed)
+        if synth is not None:
+            block = fb.two_critical_block(synth.moves)
+            subs.append(fb.slice_trace(synth, block.t1, block.t2))
+    assert len(subs) >= 3
+    for sub in subs:
+        builds.reset()
+        assert fb.certify(sub, "3cut", Beta.sqrt_half())[2].valid
+        fb.build_3cut_certificate(sub, check_rank=True)
+        assert builds.counts() == one
+
+
+def test_rank_certify_operation_builds_one_step_matrix(monkeypatch):
+    # the benchmark's operation: trace text -> verified trace -> block and
+    # certificate -> validation -> P -> rank, where at k >= 3 the caller
+    # enumerates cycles itself and builds P from them, bypassing the P
+    # kept on the trace but not its step matrix
+    beta = Beta.sqrt_half()
+    callers_cycles = fb.cycles
+    builds = MatrixBuilds(monkeypatch)
+    runs = []
+    for seed in range(40):
+        ran = run_random(32, 2, seed)
+        try:
+            fb.find_critical_block(ran.moves, beta)
+        except fb.BlockNotFoundError:
+            continue
+        runs.append(ran)
+    assert len(runs) >= 2
+    runs = runs[:2] + [run_random(24, 3, 1), run_random(20, 4, 2)]
+    for ran in runs:
+        k = ran.instance.k
+        builds.reset()
+        trace = fb.trace_from_text(ran.instance, fb.trace_to_text(ran))
+        fb.verify_trace(trace)
+        if k == 2:
+            block = fb.find_critical_block(trace.moves, beta)
+            sub = fb.slice_trace(trace, block.t1, block.t2)
+            graph, _ = fb.build_k2_certificate(sub, beta)
+            cycle_set = None
+        else:
+            sub = trace
+            graph, _ = fb.build_half_certificate(sub, check_rank=False)
+            cycle_set = callers_cycles(sub.moves, k)
+        assert fb.validate_certificate(graph, sub).valid
+        p = fb.build_P(sub, "pairs" if k == 2 else "cycles", cycle_set=cycle_set)
+        assert fb.exact_rank(p) >= graph.n_arcs
+        # the library's own P, plus the caller's from its own cycles at k >= 3
+        assert builds.counts() == {"M": 1, "P": 1 + (k > 2), "cycles": int(k > 2)}

@@ -35,11 +35,21 @@ def test_rules_agree_on_final_optimality():
         assert fb.improving_moves(inst, trace.final_configuration()) == []
 
 
+def _configurations(trace):
+    """tau_0, tau_1, ..., tau_ell, walked one move at a time."""
+    tau = list(trace.tau0)
+    out = [tuple(tau)]
+    for move in trace.moves:
+        tau[move.v] = move.q
+        out.append(tuple(tau))
+    return out
+
+
 def test_best_rule_picks_largest_delta():
     inst = smoothed_instance(9, 3, 2)
     tau0 = random_tau0(9, 3, 2)
     trace = fb.run_flip(inst, tau0, fb.PivotRule(variant="best"))
-    for tau, (move, dnum) in zip(trace.configurations(), trace.steps):
+    for tau, (move, dnum) in zip(_configurations(trace), trace.steps):
         best = max(d for _, d in fb.improving_moves(inst, tau))
         assert Fraction(dnum, inst.denom) == best
 
@@ -48,7 +58,7 @@ def test_first_rule_picks_first_improving():
     inst = smoothed_instance(9, 3, 4)
     tau0 = random_tau0(9, 3, 4)
     trace = fb.run_flip(inst, tau0, fb.PivotRule(variant="first"))
-    for tau, (move, _) in zip(trace.configurations(), trace.steps):
+    for tau, (move, _) in zip(_configurations(trace), trace.steps):
         first = fb.improving_moves(inst, tau)[0][0]
         assert move == first
 
@@ -116,7 +126,7 @@ def test_trace_text_roundtrip():
 
 def test_configurations_walk():
     trace = run_random(8, 2, 12)
-    confs = list(trace.configurations())
+    confs = _configurations(trace)
     assert len(confs) == len(trace) + 1
     assert confs[0] == trace.tau0
     assert confs[-1] == trace.final_configuration()

@@ -12,6 +12,8 @@ from flipbench.harness import (CONFIG_FIELDS, ExperimentConfig, derive_seed,
                                exp_scaling, window_length)
 from flipbench.thresholds import Beta
 
+from conftest import MatrixBuilds
+
 
 def test_parse_config_full():
     cfg = fb.parse_config(
@@ -74,6 +76,21 @@ def test_parse_config_errors():
 def test_parse_config_rejects_bad_values(line, message):
     with pytest.raises(fb.HarnessError, match=message):
         fb.parse_config(f"mode scaling\n{line}\n")
+
+
+def test_approx_config_rejects_n_above_12():
+    with pytest.raises(fb.HarnessError, match="approx mode requires n <= 12"):
+        fb.parse_config("mode approx\nn_grid 6,13\n")
+    assert fb.parse_config("mode approx\nn_grid 6,12\n").n_grid == (6, 12)
+
+
+def test_approx_config_checks_phi_exactly():
+    # a phi a hair below 1 rounds to 1.0 as a float; centres at 1/2 would
+    # then push the support outside [-1, 1]
+    with pytest.raises(fb.HarnessError, match="phi >= 1"):
+        fb.parse_config("mode approx\nn_grid 6\n"
+                        "phi_grid 999999999999999999/1000000000000000000\n")
+    assert fb.parse_config("mode approx\nn_grid 6\nphi_grid 1,3/2\n").phi_grid[0] == 1
 
 
 def test_config_table_covers_every_field():
@@ -193,31 +210,16 @@ def test_rank_campaign_certifies_reached_windows(monkeypatch):
 
 
 def test_rank_trial_builds_one_P(monkeypatch):
-    # the trial's P serves both the certificate's validation and the rank
+    # the certificate and the exact rank read the one P kept on the block:
+    # one step matrix and one P per trial, cycles enumerated once at k > 2
     monkeypatch.setattr(harness, "window_length", lambda k, beta, n: n // 2)
-    from flipbench import certificates, matrices
-    calls = {"P": 0, "M": 0}
-    real_p, real_m = matrices.build_P, matrices.build_M
-
-    def counting_p(*args, **kw):
-        calls["P"] += 1
-        return real_p(*args, **kw)
-
-    def counting_m(*args, **kw):
-        calls["M"] += 1
-        return real_m(*args, **kw)
-
-    monkeypatch.setattr(harness, "build_P", counting_p)
-    monkeypatch.setattr(certificates, "build_P", counting_p)
-    monkeypatch.setattr(matrices, "build_M", counting_m)
-    # step matrices per trial: P's, the witness columns' and, for the half
-    # certificate, the builder's
-    for k, seed, step_matrices in ((2, 0, 2), (4, 0, 3)):
-        calls.update(P=0, M=0)
-        cfg = ExperimentConfig(mode="rank", n_grid=(24,), k=k, trials=1, seed=seed)
+    builds = MatrixBuilds(monkeypatch)
+    for k in (2, 4):
+        builds.reset()
+        cfg = ExperimentConfig(mode="rank", n_grid=(24,), k=k, trials=1, seed=0)
         (row,) = fb.exp_rank_campaign(cfg)[1]
         assert row["status"] == "ok" and row["violation"] == 0
-        assert calls == {"P": 1, "M": step_matrices}
+        assert builds.counts() == {"M": 1, "P": 1, "cycles": int(k > 2)}
 
 
 def test_mc_experiment_within_tolerance():

@@ -87,15 +87,7 @@ def corpus():
     assert isolated >= 3
 
 
-def random_groups(trace, rng):
-    ell = len(trace)
-    groups = [tuple(rng.sample(range(1, ell + 1), min(ell, rng.randint(1, 4))))
-              for _ in range(5)]
-    return groups + [(1, 2), (1,), (), (ell, ell)] if ell >= 2 else groups + [()]
-
-
 def test_kernel_matches_the_definition():
-    rng = random.Random("groups")
     for trace in corpus():
         inst = trace.instance
         steps = definition_steps(inst, trace.tau0, trace.moves)
@@ -108,19 +100,6 @@ def test_kernel_matches_the_definition():
             p = fb.build_P(trace, mode)
             groups = [(c.t1, c.t2) if mode == "pairs" else c.times for c in p.col_labels]
             assert p.cols == definition_combined(cols, groups)
-        groups = random_groups(trace, rng)
-        assert fb.columns_for(trace, groups).cols == definition_combined(cols, groups)
-
-
-def test_columns_for_groups_that_mix_vertices():
-    trace = run_random(10, 3, 40)
-    assert len({move.v for move in trace.moves[:3]}) == 3
-    cols = tuple(col for col, _ in definition_steps(trace.instance, trace.tau0, trace.moves))
-    groups = [(1, 2), (1,), (2, 1, 3), (3, 3)]
-    got = fb.columns_for(trace, groups)
-    assert got.cols == definition_combined(cols, groups)
-    assert got.col_labels == tuple(groups)
-    assert got.column(3) == tuple((e, 2 * s) for e, s in cols[2])
 
 
 def test_empty_trace():
@@ -129,12 +108,13 @@ def test_empty_trace():
     fb.verify_trace(trace)
     assert fb.build_M(trace).cols == ()
     assert fb.build_P(trace, "pairs").cols == fb.build_P(trace, "cycles").cols == ()
-    assert fb.columns_for(trace, [()]).cols == ((),)
     assert fb.exact_rank(fb.build_M(trace)) == 0
 
 
 def test_chunk_boundaries(monkeypatch):
-    # three steps per chunk: configurations carry across chunk boundaries
+    # three steps per chunk: configurations carry across chunk boundaries;
+    # the chunked matrix is built on a second Trace, since each trace
+    # keeps the step matrix it built first
     trace = random_walk(fb.make_instance("gnp", 9, 4, fb.SmoothingProfile(phi=1, seed=3),
                                          p=0.5), 40, random.Random(7))
     whole = fb.build_M(trace).cols
@@ -142,7 +122,9 @@ def test_chunk_boundaries(monkeypatch):
     chunks = list(model.sequence_chunks(trace.instance, trace.tau0, trace.moves))
     assert [lo for lo, *_ in chunks] == list(range(0, 40, 3))
     steps = definition_steps(trace.instance, trace.tau0, trace.moves)
-    assert fb.build_M(trace).cols == whole == tuple(col for col, _ in steps)
+    again = fb.replay(trace.instance, trace.tau0, trace.moves)
+    assert fb.build_M(again) is not fb.build_M(trace)
+    assert fb.build_M(again).cols == whole == tuple(col for col, _ in steps)
     fb.verify_trace(trace)
     forged = list(trace.steps)
     forged[30] = (forged[30][0], forged[30][1] + 1)
@@ -212,38 +194,53 @@ def fallbacks(monkeypatch):
     return calls
 
 
+def _labels(trace, arcs):
+    """The P column labels of the arcs' witnesses."""
+    by_witness = {(c.v, c.times): c for c in fb.build_P(trace, "cycles").col_labels}
+    return tuple(by_witness[(arc.v, arc.witness)] for arc in arcs)
+
+
+def _plant(monkeypatch, planted):
+    """Let the validator read planted as the trace's P."""
+    monkeypatch.setattr(certificates, "build_P", lambda trace, mode: planted)
+
+
 def test_validator_proves_full_rank_mod_p_without_fallback(fallbacks):
     trace, graph = _half_certificate_with_arcs(3)
-    assert fb.validate_certificate(graph, trace).valid
-    p = fb.build_P(trace, "cycles")
-    assert fb.validate_certificate(graph, trace, p) == certificates.Verdict(
+    assert fb.validate_certificate(graph, trace) == certificates.Verdict(
         valid=True, rank_bound=graph.n_arcs)
     assert fallbacks == []
 
 
-def test_validator_falls_back_on_a_planted_deficiency(fallbacks):
+def test_validator_falls_back_on_a_planted_deficiency(fallbacks, monkeypatch):
     trace, graph = _half_certificate_with_arcs(3)
-    # a P holding only the first arc's witness column: the witness rows
-    # have rank 1, which the rational elimination must confirm and report
-    planted = fb.columns_for(trace, [graph.arcs[0].witness])
-    verdict = fb.validate_certificate(graph, trace, planted)
+    # a P of the arcs' witness columns, each holding 1 on every arc's edge
+    # row: the witness rows are equal, so they have rank 1, which the
+    # rational elimination must confirm and report
+    arcs = graph.arcs
+    rows = sorted(trace.instance.edge_index(arc.u, arc.v) for arc in arcs)
+    _plant(monkeypatch, fb.SignMatrix(
+        n_rows=trace.instance.m, ptr=np.arange(len(arcs) + 1) * len(rows),
+        rows=np.tile(rows, len(arcs)), vals=np.ones(len(arcs) * len(rows), dtype=np.int64),
+        col_labels=_labels(trace, arcs)))
+    verdict = fb.validate_certificate(graph, trace)
     assert verdict == certificates.Verdict(
         valid=False, rank_bound=1,
         reason=f"witness rows have rank 1, expected {graph.n_arcs}")
     assert fallbacks == [graph.n_arcs]
 
 
-def test_validator_fallback_overrules_an_unlucky_prime(fallbacks):
+def test_validator_fallback_overrules_an_unlucky_prime(fallbacks, monkeypatch):
     # a witness row whose only entry is the validator's prime vanishes mod
     # p but is independent over Q: the fallback must accept it
     trace, graph = _half_certificate_with_arcs(1)
     arc = graph.arcs[0]
     one = certificates.CertificateGraph(arcs_by_tail={arc.v: (arc,)})
     e = trace.instance.edge_index(arc.u, arc.v)
-    planted = fb.SignMatrix(n_rows=trace.instance.m, ptr=np.array([0, 1]),
-                            rows=np.array([e]),
-                            vals=np.array([certificates._VALIDATOR_PRIME]))
-    assert fb.validate_certificate(one, trace, planted).valid
+    _plant(monkeypatch, fb.SignMatrix(
+        n_rows=trace.instance.m, ptr=np.array([0, 1]), rows=np.array([e]),
+        vals=np.array([certificates._VALIDATOR_PRIME]), col_labels=_labels(trace, [arc])))
+    assert fb.validate_certificate(one, trace).valid
     assert fallbacks == [1]
     assert not certificates._full_row_rank_mod_p(np.array([[certificates._VALIDATOR_PRIME]]))
     assert certificates._VALIDATOR_PRIME != fb.matrices._PRIME

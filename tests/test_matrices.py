@@ -24,7 +24,7 @@ def test_column_support_is_incident_to_the_mover():
     trace = run_random(8, 3, 2)
     m = fb.build_M(trace)
     for j, (move, _) in enumerate(trace.steps):
-        for r, val in m.column(j):
+        for r, val in m.cols[j]:
             assert move.v in trace.instance.edges[r]
             assert val in (-1, 1)
 
@@ -36,10 +36,10 @@ def test_pair_columns_sum_step_columns():
     for j, pair in enumerate(p.col_labels):
         acc = {}
         for t in (pair.t1, pair.t2):
-            for r, val in m.column(t - 1):
+            for r, val in m.cols[t - 1]:
                 acc[r] = acc.get(r, 0) + val
         want = tuple(sorted((r, v) for r, v in acc.items() if v != 0))
-        assert p.column(j) == want
+        assert p.cols[j] == want
 
 
 def test_nullification_of_nonmoving_rows():
@@ -84,25 +84,6 @@ def test_entries_bounded_by_k():
                 assert 0 < abs(val) <= k
 
 
-def test_columns_for_explicit_groups():
-    trace = run_random(8, 2, 5)
-    m = fb.build_M(trace)
-    grouped = fb.columns_for(trace, [(1, 2), (1,)])
-    acc = {}
-    for t in (1, 2):
-        for r, val in m.column(t - 1):
-            acc[r] = acc.get(r, 0) + val
-    assert grouped.column(0) == tuple(sorted((r, v) for r, v in acc.items() if v))
-    assert grouped.column(1) == m.column(0)
-
-
-def test_columns_for_rejects_steps_outside_the_trace():
-    trace = run_random(8, 2, 5)
-    for t in (0, -1, len(trace) + 1):
-        with pytest.raises(fb.ModelError, match=f"time-step {t} outside 1..{len(trace)}"):
-            fb.columns_for(trace, [(1,), (t,)])
-
-
 def test_truncated_cycle_set_refused():
     trace = run_random(8, 3, 6)
     truncated = fb.CycleSet(cycles=(), truncated=True)
@@ -110,6 +91,14 @@ def test_truncated_cycle_set_refused():
         fb.build_P(trace, "cycles", cycle_set=truncated)
     with pytest.raises(fb.ModelError):
         fb.build_P(trace, "nonsense")
+
+
+def _dense(mat):
+    out = [[0] * mat.n_cols for _ in range(mat.n_rows)]
+    for j, col in enumerate(mat.cols):
+        for r, val in col:
+            out[r][j] = val
+    return out
 
 
 def _fraction_rank(rows):
@@ -152,7 +141,7 @@ def test_exact_rank_on_sign_matrices():
         k = 2 + seed % 3
         trace = run_random(9, k, 400 + seed)
         p = fb.build_P(trace, "pairs" if k == 2 else "cycles")
-        assert fb.exact_rank(p) == _fraction_rank(p.dense())
+        assert fb.exact_rank(p) == _fraction_rank(_dense(p))
 
 
 def test_exact_rank_on_natural_cycle_matrices():
@@ -162,7 +151,7 @@ def test_exact_rank_on_natural_cycle_matrices():
         for seed in range(5):
             rule = ("first", "best", "random")[seed % 3]
             p = fb.build_P(run_random(n, k, seed, rule=rule), "cycles")
-            support = [r for r in p.dense() if any(r)]
+            support = [r for r in _dense(p) if any(r)]
             assert fb.exact_rank(p) == _fraction_rank([list(c) for c in zip(*support)])
 
 
@@ -234,7 +223,7 @@ def test_natural_sign_matrices_need_no_fallback(bareiss_calls):
             p = fb.build_P(run_random(n, k, seed), "pairs" if k == 2 else "cycles")
             rank = fb.exact_rank(p)
             assert not bareiss_calls
-            support = [r for r in p.dense() if any(r)]
+            support = [r for r in _dense(p) if any(r)]
             assert rank == _fraction_rank([list(c) for c in zip(*support)])
             deficient += rank < min(len(support), p.n_cols)
     assert deficient

@@ -1,9 +1,11 @@
-"""Every module-level function and class in src/flipbench has a real caller.
+"""Every function, class, method and property in src/flipbench has a real caller.
 
 A name counts as used when some code in src/flipbench outside its own
-definition, or in perfbench/, refers to it.  Imports and the package's
-re-exports in __init__.py do not count: they make a name reachable,
-not used.
+definition, or in perfbench/, refers to it.  A method's own definition
+is the method; a class's is the whole class body, so a method calling
+its neighbour counts but a class naming itself does not.  Imports and
+the package's re-exports in __init__.py do not count: they make a name
+reachable, not used.  Dunder methods are called by the language.
 """
 
 import ast
@@ -33,19 +35,44 @@ def _used_names(node):
     return names
 
 
-def test_every_module_level_definition_has_a_caller():
-    defined = []  # (module, name, definition node)
-    uses = []     # (definition node or None, names used in it)
+def _units(tree):
+    """Top-level statements, with every class split into its members and
+    a header (decorators and bases): (unit node, owning class or None)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            header = ast.Module(body=[*node.decorator_list, *node.bases], type_ignores=[])
+            yield header, node
+            for member in node.body:
+                yield member, node
+        else:
+            yield node, None
+
+
+def definitions_without_callers():
+    defined = []  # (qualified name, name, units that make up its own definition)
+    uses = []     # (unit, names used in it)
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.stem, node.name, node))
-            uses.append((node, _used_names(node)))
+        units = list(_units(ast.parse(path.read_text())))
+        uses += [(unit, _used_names(unit)) for unit, _ in units]
+        for unit, owner in units:
+            if owner is None and isinstance(unit, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{unit.name}", unit.name, {unit}))
+            elif owner is not None and isinstance(unit, ast.FunctionDef):
+                if not (unit.name.startswith("__") and unit.name.endswith("__")):
+                    defined.append((f"{owner.name}.{unit.name}", unit.name, {unit}))
+        classes = {owner for _, owner in units if owner is not None}
+        for cls in classes:
+            own = {unit for unit, owner in units if owner is cls}
+            defined.append((f"{path.stem}.{cls.name}", cls.name, own))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         uses.append((None, _used_names(ast.parse(path.read_text()))))
-    unused = [f"{module}.{name}" for module, name, node in defined
-              if name not in ALLOWED
-              and not any(name in names for owner, names in uses if owner is not node)]
+    return sorted(qualified for qualified, name, own in defined
+                  if name not in ALLOWED
+                  and not any(name in names for unit, names in uses if unit not in own))
+
+
+def test_every_module_level_definition_has_a_caller():
+    unused = definitions_without_callers()
     assert not unused, f"only tests call {unused}"

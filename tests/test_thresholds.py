@@ -13,6 +13,10 @@ _LO = Fraction(math.isqrt(2 * _SCALE * _SCALE), _SCALE)
 _HI = _LO + Fraction(1, _SCALE)
 assert _LO * _LO < 2 < _HI * _HI
 
+# every s below 2000, then large ones where a search from 0 would crawl
+SIZES = list(range(0, 2000)) + [10 ** 6, 10 ** 6 + 1, 2 ** 40 - 1, 10 ** 12,
+                                10 ** 12 + 7, 10 ** 18 + 3]
+
 
 def _oracle_ceil(x_lo: Fraction, x_hi: Fraction) -> int:
     lo, hi = math.ceil(x_lo), math.ceil(x_hi)
@@ -37,7 +41,7 @@ def test_qualifies_oracle():
 
 def test_ceil_threshold_oracle():
     beta = Beta.sqrt_half()
-    for s in range(0, 2000):
+    for s in SIZES:
         want = s + _oracle_ceil(s / _HI, s / _LO)
         assert beta.ceil_threshold(s) == want
 
@@ -45,7 +49,7 @@ def test_ceil_threshold_oracle():
 def test_ceil_singleton_bound_oracle():
     # beta/(1+beta) = 1/(1+sqrt2)
     beta = Beta.sqrt_half()
-    for s in range(0, 2000):
+    for s in SIZES:
         want = _oracle_ceil(s / (1 + _HI), s / (1 + _LO))
         assert beta.ceil_singleton_bound(s) == want
 
@@ -53,7 +57,7 @@ def test_ceil_singleton_bound_oracle():
 def test_ceil_rank_bound_oracle():
     # beta/(1+2*beta) = 1/(sqrt2+2)
     beta = Beta.sqrt_half()
-    for s in range(0, 2000):
+    for s in SIZES:
         want = _oracle_ceil(s / (2 + _HI), s / (2 + _LO))
         assert beta.ceil_rank_bound(s) == want
 
