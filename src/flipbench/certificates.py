@@ -512,25 +512,23 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     if not arcs:
         return Verdict(valid=True, rank_bound=0)
 
-    # acyclicity
+    # acyclicity: peel vertices of in-degree 0 (Kahn); an arc left over
+    # lies on or behind a directed cycle
     out_heads: dict = {}
+    in_degree: dict = {}
     for arc in arcs:
         out_heads.setdefault(arc.v, []).append(arc.u)
-    state: dict = {}
-
-    def dfs(node):
-        state[node] = 1
-        for nxt in out_heads.get(node, ()):
-            if state.get(nxt) == 1:
-                return False
-            if state.get(nxt) is None and not dfs(nxt):
-                return False
-        state[node] = 2
-        return True
-
-    for node in sorted(out_heads):
-        if state.get(node) is None and not dfs(node):
-            return Verdict(valid=False, rank_bound=0, reason="graph has a directed cycle")
+        in_degree[arc.u] = in_degree.get(arc.u, 0) + 1
+    ready = [v for v in out_heads if v not in in_degree]
+    peeled = 0
+    while ready:
+        for nxt in out_heads.get(ready.pop(), ()):
+            peeled += 1
+            in_degree[nxt] -= 1
+            if not in_degree[nxt]:
+                ready.append(nxt)
+    if peeled < len(arcs):
+        return Verdict(valid=False, rank_bound=0, reason="graph has a directed cycle")
 
     # witness entries and staircase, on the heads of each witness column
     p, columns = _witness_columns(trace)

@@ -32,8 +32,8 @@ def _load_instance(path: str, k: int | None) -> Instance:
     return inst
 
 
-def _load_trace(instance_path: str, trace_path: str, k: int | None = None):
-    inst = _load_instance(instance_path, k)
+def _load_trace(instance_path: str, trace_path: str):
+    inst = _load_instance(instance_path, None)
     with open(trace_path) as fh:
         return trace_from_text(inst, fh.read())
 

@@ -2,8 +2,10 @@
 
 A run keeps, for every vertex, the total weight numerator towards each
 part in a numpy array, so scoring all n*k moves is one vectorised pass
-and a move is two row updates.  All deltas are recorded as exact Python
-integer numerators over the instance denominator.
+and a move is two row updates.  A supplied move sequence (replay, trace
+files, verify_trace) is instead checked by model.validate_move and
+scored by the model's step-sign kernel.  All deltas are recorded as
+exact Python integer numerators over the instance denominator.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ class Trace:
 
 
 class _State:
-    """Mutable FLIP state: configuration plus every vertex's pull to each part.
+    """Mutable FLIP state, run_flip's fast path: configuration plus every
+    vertex's pull to each part.
 
     sums[p, v] is the weight numerator from v to the vertices in part p
     (row 0 unused), so moving v to q improves by sums[tau[v], v] - sums[q, v]
@@ -113,9 +116,6 @@ class _State:
         a vertex's own part scores 0."""
         depart = self.sums.ravel().take(self.own)
         return (depart - self.sums[1:]).T.ravel()
-
-    def delta_num(self, v: int, q: int) -> int:
-        return int(self.sums[self.tau[v], v] - self.sums[q, v])
 
     def apply(self, move: Move) -> None:
         row = self.weights[move.v]
@@ -164,24 +164,26 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
 def replay(inst: Instance, tau0, moves: Iterable[Move]) -> Trace:
     """Validate and score an externally supplied move sequence.
 
-    The first invalid move raises ReplayError carrying its 1-based step
-    index.  Replayed traces may contain non-improving steps; callers that
-    need strict improvement must check deltas.
+    Every move must pass model.validate_move from the configuration it
+    starts in; the first that fails raises ReplayError carrying its
+    1-based step index and validate_move's reason.  The steps are then
+    scored by the step-sign kernel.  Replayed traces may contain
+    non-improving steps; callers that need strict improvement must check
+    deltas.
     """
-    state = _State(inst, tau0)
-    steps = []
+    check_configuration(inst, tau0)
+    moves = [Move(*move) for move in moves]
+    tau = list(tau0)
     for t, move in enumerate(moves, start=1):
-        move = Move(*move)
-        ok = (0 <= move.v < inst.n and 1 <= move.p <= inst.k
-              and 1 <= move.q <= inst.k and move.p != move.q
-              and state.tau[move.v] == move.p)
-        if not ok:
-            reason = (f"vertex in part {state.tau[move.v]}"
-                      if 0 <= move.v < inst.n else "vertex out of range")
-            raise ReplayError(t, move, reason)
-        steps.append((move, state.delta_num(move.v, move.q)))
-        state.apply(move)
-    return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(steps),
+        try:
+            validate_move(inst, tau, move)
+        except InvalidMoveError as exc:
+            raise ReplayError(t, move, exc.reason) from None
+        tau[move.v] = move.q
+    deltas = []
+    for _, chunk, taus in sequence_chunks(inst, tau0, moves):
+        deltas.extend(step_deltas(inst, taus, chunk).tolist())
+    return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(zip(moves, deltas)),
                  rule="replay")
 
 
@@ -211,18 +213,22 @@ def trace_to_text(trace: Trace) -> str:
 def trace_from_text(inst: Instance, text: str) -> Trace:
     """Read a trace file against its instance.
 
-    Exactly one `# instance` header must name inst's content hash and
-    every record's delta must equal the replayed one; otherwise ModelError.
+    Exactly one `# instance` header must name inst's content hash, exactly
+    one `# tau0` header gives the start configuration, records are
+    numbered 1..L in order, and the recorded steps must pass verify_trace;
+    otherwise ModelError.
     """
     tau0 = None
     named = False
-    moves, dnums = [], []
+    steps = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         if ln.startswith("#"):
             if ln.startswith("# tau0 "):
+                if tau0 is not None:
+                    raise ModelError("trace file repeats its tau0 header")
                 tau0 = parse_configuration(ln[len("# tau0 "):])
             elif ln.startswith("# instance "):
                 if named:
@@ -232,46 +238,35 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
                 named = True
             continue
         try:
-            _, v, p, q, dnum = map(int, ln.split())
+            t, v, p, q, dnum = map(int, ln.split())
         except ValueError:
             raise ModelError(f"malformed trace record: {ln!r}") from None
-        moves.append(Move(v, p, q))
-        dnums.append(dnum)
+        if t != len(steps) + 1:
+            raise ModelError(f"trace record {ln!r} is numbered {t}, expected {len(steps) + 1}")
+        steps.append((Move(v, p, q), dnum))
     if not named:
         raise ModelError("trace file missing instance header")
     if tau0 is None:
         raise ModelError("trace file missing tau0 header")
-    trace = replay(inst, tau0, moves)
-    for t, (got, want) in enumerate(zip(trace.delta_nums, dnums), start=1):
-        if got != want:
-            raise ModelError(f"step {t} records delta {want}, replay gives {got}")
+    trace = Trace(instance=inst, tau0=tau0, steps=tuple(steps), rule="replay")
+    verify_trace(trace)
     return trace
 
 
 def verify_trace(trace: Trace) -> None:
-    """Re-check a trace against the model's step-sign kernel, independently
-    of _State.
+    """Re-check a trace by replaying its moves.
 
-    Every move must be valid from the configuration it starts in, every
-    recorded delta must equal the kernel's, and H(final) - H(tau0) must
-    equal the sum of the deltas over the denominator: O(steps * n + m).
-    A bad move or delta raises ModelError naming its step.
+    replay validates every move and scores it with the step-sign kernel,
+    never with run_flip's state; every recorded delta must equal the
+    replayed one, and H(final) - H(tau0) must equal the sum of the deltas
+    over the denominator: O(steps * n + m).  A bad move or delta raises
+    ModelError naming its step.
     """
     inst = trace.instance
-    check_configuration(inst, trace.tau0)
-    tau = list(trace.tau0)
-    for t, (move, _) in enumerate(trace.steps, start=1):
-        try:
-            validate_move(inst, tau, move)
-        except InvalidMoveError as exc:
-            raise ModelError(f"step {t}: {exc}") from None
-        tau[move.v] = move.q
-    recorded = trace.delta_nums
-    for lo, moves, taus in sequence_chunks(inst, trace.tau0, trace.moves):
-        got = step_deltas(inst, taus, moves).tolist()
-        for t, (dnum, want) in enumerate(zip(got, recorded[lo:]), start=lo + 1):
-            if dnum != want:
-                raise ModelError(f"delta mismatch at step {t}")
-    gap = hamiltonian(inst, tau) - hamiltonian(inst, trace.tau0)
+    replayed = replay(inst, trace.tau0, trace.moves)
+    for t, (want, got) in enumerate(zip(trace.delta_nums, replayed.delta_nums), start=1):
+        if want != got:
+            raise ModelError(f"delta mismatch at step {t}: recorded {want}, replay gives {got}")
+    gap = hamiltonian(inst, trace.final_configuration()) - hamiltonian(inst, trace.tau0)
     if gap != Fraction(sum(trace.delta_nums), inst.denom):
         raise ModelError(f"H(final) - H(tau0) = {gap} is not the sum of the deltas")

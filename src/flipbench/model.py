@@ -31,6 +31,7 @@ class ModelError(ValueError):
 class InvalidMoveError(ModelError):
     def __init__(self, move, reason):
         self.move = move
+        self.reason = reason
         super().__init__(f"invalid move {move}: {reason}")
 
 
@@ -332,17 +333,12 @@ def sequence_chunks(inst: Instance, tau0: Sequence[int], moves):
         tau[chunk[-1, 0]] = chunk[-1, 2]
 
 
-def move_delta_num(inst: Instance, tau: Sequence[int], m: Move) -> int:
-    """Numerator of H(apply(tau,m)) - H(tau) over inst.denom: the kernel's
-    one-row case."""
-    deltas = step_deltas(inst, np.array([tau], dtype=np.intp), np.array([m], dtype=np.intp))
-    return int(deltas[0])
-
-
 def move_delta(inst: Instance, tau: Sequence[int], m: Move) -> Fraction:
+    """H(apply(tau,m)) - H(tau): the kernel's one-row case."""
     check_configuration(inst, tau)
     validate_move(inst, tau, m)
-    return Fraction(move_delta_num(inst, tau, m), inst.denom)
+    deltas = step_deltas(inst, np.array([tau], dtype=np.intp), np.array([m], dtype=np.intp))
+    return Fraction(int(deltas[0]), inst.denom)
 
 
 def apply_move(tau: Configuration, m: Move) -> Configuration:

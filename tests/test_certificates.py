@@ -260,6 +260,21 @@ def test_validate_rejects_directed_cycles_and_duplicate_rows():
     assert not verdict.valid
 
 
+def test_validate_checks_acyclicity_of_long_chains_and_cycles():
+    # 1500 arcs v -> v+1 are deeper than Python's recursion limit; the chain
+    # is acyclic and fails on its first witness, the closed cycle does not
+    # get that far
+    trace = run_random(8, 2, 4)
+    chain = CertificateGraph(arcs_by_tail={v: (Arc(v, v + 1, (0, 0)),) for v in range(1500)})
+    verdict = fb.validate_certificate(chain, trace)
+    assert not verdict.valid
+    assert "arc 0->1: witness (0, 0) is not a pair or cycle of vertex 0" in verdict.reason
+    cycle = CertificateGraph(arcs_by_tail={v: (Arc(v, (v + 1) % 1500, (0, 0)),)
+                                           for v in range(1500)})
+    verdict = fb.validate_certificate(cycle, trace)
+    assert not verdict.valid and verdict.reason == "graph has a directed cycle"
+
+
 def test_validate_rejects_broken_staircase():
     # find a pair of v with two adjacent odd-parity vertices; listing both
     # arcs with the same witness breaks the staircase zero pattern

@@ -135,3 +135,24 @@ def test_trace_without_instance_header_exits_2(tmp_path, capsys, command):
     assert main([command[0], "--instance", ipath, "--trace", tpath, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "instance header" in err
+
+
+@pytest.mark.parametrize("command", [["certify", "--mode", "k2"], ["analyze"]])
+@pytest.mark.parametrize("edit", ["second tau0", "renumbered"])
+def test_trace_file_trust_boundary_exits_2(tmp_path, capsys, command, edit):
+    trace = run_random(10, 2, 1)
+    assert len(trace) >= 2
+    ipath, tpath = _write_trace(tmp_path, trace)
+    with open(tpath) as fh:
+        lines = fh.read().splitlines()
+    if edit == "second tau0":
+        lines.append("# tau0 " + " ".join(["1"] * trace.instance.n))
+        message = "repeats its tau0 header"
+    else:
+        lines = [ln if ln.startswith("#") else "7" + ln[ln.index(" "):] for ln in lines]
+        message = "numbered 7, expected 1"
+    with open(tpath, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main([command[0], "--instance", ipath, "--trace", tpath, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -83,8 +83,15 @@ def test_cap():
 
 
 def test_replay_matches_run():
-    for k, rule in ((3, "first"), (2, "random"), (4, "best")):
-        trace = run_random(10, k, 8, rule=rule)
+    traces = [run_random(10, k, 8, rule=rule)
+              for k, rule in ((3, "first"), (2, "random"), (4, "best"))]
+    # denom 2**70 puts the weights, and so the kernel, on Python ints
+    wide = fb.make_instance("complete", 10, 3, fb.SmoothingProfile(phi=1, seed=8),
+                            denom=2 ** 70)
+    assert wide.weight_matrix().dtype == object
+    traces.append(fb.run_flip(wide, random_tau0(10, 3, 8)))
+    for trace in traces:
+        assert len(trace) > 0
         back = fb.replay(trace.instance, trace.tau0, trace.moves)
         assert back.steps == trace.steps
         _assert_python_ints(back)
@@ -97,6 +104,40 @@ def test_replay_invalid_move():
     with pytest.raises(fb.ReplayError) as ei:
         fb.replay(inst, tau0, bad)
     assert ei.value.step == 2
+
+
+def test_replay_error_names_the_reason():
+    inst = smoothed_instance(5, 3, 0)
+    tau0 = (1, 2, 3, 1, 2)
+    for move, reason in ((fb.Move(0, 1, 7), "parts outside 1..3"),
+                         (fb.Move(0, 1, 1), "from-part equals to-part"),
+                         (fb.Move(0, 2, 3), "vertex 0 is in part 1, not 2"),
+                         (fb.Move(5, 1, 2), "vertex out of range")):
+        with pytest.raises(fb.ReplayError) as ei:
+            fb.replay(inst, tau0, [fb.Move(1, 2, 3), move])
+        assert ei.value.step == 2 and ei.value.move == move
+        assert str(ei.value) == f"invalid at step 2: move {move} ({reason})"
+
+
+def test_supplied_sequences_never_build_the_flip_state(monkeypatch):
+    # replay, verify_trace, trace files and slices go through validate_move
+    # and the step-sign kernel; only run_flip drives engine._State
+    built = []
+
+    class Counting(fb.engine._State):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fb.engine, "_State", Counting)
+    trace = run_random(12, 3, 9)
+    assert built and len(trace) >= 4
+    built.clear()
+    fb.replay(trace.instance, trace.tau0, trace.moves)
+    fb.verify_trace(trace)
+    fb.trace_from_text(trace.instance, fb.trace_to_text(trace))
+    fb.slice_trace(trace, 2, 4)
+    assert built == []
 
 
 def test_slice_trace():
@@ -213,12 +254,37 @@ def test_trace_text_requires_one_instance_header():
     assert fb.trace_from_text(trace.instance, text).steps == trace.steps
 
 
+def test_trace_text_requires_one_tau0_header():
+    trace = run_random(12, 2, 17)
+    text = fb.trace_to_text(trace)
+    other = "# tau0 " + " ".join("1" for _ in trace.tau0) + "\n"
+    for bad in (text + other, other + text):
+        with pytest.raises(fb.ModelError, match="repeats its tau0 header"):
+            fb.trace_from_text(trace.instance, bad)
+
+
+def test_trace_text_records_are_numbered_in_order():
+    trace = run_random(12, 2, 18)
+    assert len(trace) >= 3
+    lines = fb.trace_to_text(trace).splitlines()
+    head = [ln for ln in lines if ln.startswith("#")]
+    records = [ln.split() for ln in lines if not ln.startswith("#")]
+    for numbers in (["7"] * len(records),
+                    [str(t) for t in range(2, len(records) + 2)],
+                    ["2", "1"] + [str(t) for t in range(3, len(records) + 1)]):
+        renumbered = [" ".join([t] + rec[1:]) for t, rec in zip(numbers, records)]
+        with pytest.raises(fb.ModelError, match="numbered"):
+            fb.trace_from_text(trace.instance, "\n".join(head + renumbered) + "\n")
+    assert fb.trace_from_text(trace.instance, "\n".join(lines) + "\n").steps == trace.steps
+
+
 def test_trace_text_rejects_edited_delta():
     trace = run_random(12, 2, 15)
     lines = fb.trace_to_text(trace).splitlines()
     tok = lines[-1].split()
     lines[-1] = " ".join(tok[:4] + ["999999"])
-    with pytest.raises(fb.ModelError, match=f"step {len(trace)}"):
+    with pytest.raises(fb.ModelError, match=f"delta mismatch at step {len(trace)}: "
+                                            f"recorded 999999, replay gives {trace.delta_nums[-1]}$"):
         fb.trace_from_text(trace.instance, "\n".join(lines) + "\n")
     for bad in (" ".join(tok[:4] + ["x"]), " ".join(tok[:4])):
         lines[-1] = bad

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import flipbench as fb
-from flipbench.model import (check_configuration, move_delta_num,
-                             parse_configuration, validate_move)
+from flipbench.model import (check_configuration, parse_configuration,
+                             validate_move)
 
 from conftest import random_tau0, smoothed_instance
 
@@ -136,7 +136,7 @@ def test_move_delta_num_sign_convention():
     # neighbors: 0 in departed part (+5), 2 in destination part (-(-3))
     step = fb.replay(inst, tau, [fb.Move(1, 1, 2)])
     assert fb.build_M(step).cols[0] == ((0, 1), (1, -1))
-    assert move_delta_num(inst, tau, fb.Move(1, 1, 2)) == 5 + 3
+    assert fb.move_delta(inst, tau, fb.Move(1, 1, 2)) == Fraction(5 + 3, inst.denom)
 
 
 def test_edge_index_and_neighbors():
