@@ -9,10 +9,13 @@ configuration) and all time-steps are 1-based, matching trace files.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .model import ModelError, Move
 from .thresholds import Beta
@@ -245,31 +248,49 @@ def find_critical_block(moves: Sequence[Move], beta: Beta) -> BlockView:
     beta-critical; any such block satisfies len(B) = ceil((1+beta)*s(B))
     (dropping the last move would otherwise contradict minimality).
     Guaranteed to succeed when len(moves) >= ceil((1+beta)*n).
+
+    A window of length L holds s = L - r distinct vertices, where r counts
+    the repeat pairs (prev[t], t) inside it (prev[t] is the last earlier
+    move of moves[t]'s vertex), so it qualifies iff r >= need(L) = L -
+    s_max[L].  A length is skipped when fewer than need(L) pairs have gap
+    <= L-1; otherwise one integer difference-array pass counts r for every
+    window.  When no window qualifies, every longer window holds at least
+    L - max(r) distinct vertices, so the search jumps to the first length
+    whose s_max reaches that.  O(ell log ell + passes * (ell + pairs)).
     """
     ell = len(moves)
-    for length in range(1, ell + 1):
-        counts: dict = {}
-        distinct = 0
-        for t in range(length):
-            v = moves[t].v
-            counts[v] = counts.get(v, 0) + 1
-            if counts[v] == 1:
-                distinct += 1
-        for start in range(0, ell - length + 1):
-            if beta.qualifies(length, distinct):
-                block = BlockView(parent=tuple(moves), t1=start + 1, t2=start + length)
-                assert length == beta.ceil_threshold(distinct), \
-                    "critical block length differs from ceil((1+beta)s)"
-                return block
-            if start + length < ell:
-                v_out = moves[start].v
-                counts[v_out] -= 1
-                if counts[v_out] == 0:
-                    distinct -= 1
-                v_in = moves[start + length].v
-                counts[v_in] = counts.get(v_in, 0) + 1
-                if counts[v_in] == 1:
-                    distinct += 1
+    last: dict = {}
+    prev, time = [], []
+    for t, m in enumerate(moves, start=1):
+        p = last.get(m.v)
+        if p is not None:
+            prev.append(p)
+            time.append(t)
+        last[m.v] = t
+    prev, time = np.array(prev, dtype=np.intp), np.array(time, dtype=np.intp)
+    order = np.argsort(time - prev, kind="stable")
+    prev, time = prev[order], time[order]
+    # fits[L] = number of pairs with gap <= L - 1, i.e. that fit a length-L window
+    fits = [0] + np.cumsum(np.bincount(time - prev, minlength=ell + 1))[:ell].tolist()
+    s_max = beta.s_max_table(ell)
+    length = 1
+    while length <= ell:
+        need = length - s_max[length]
+        if fits[length] < need:
+            length += 1
+            continue
+        # window starts a (0-based) hold pair (p, t) iff t - length <= a <= p - 1
+        windows = ell - length + 1
+        p, t = prev[:fits[length]], time[:fits[length]]
+        lo = np.maximum(t - length, 0)
+        hi = np.minimum(p, windows)
+        repeats = np.cumsum(np.bincount(lo, minlength=windows + 1)
+                            - np.bincount(hi, minlength=windows + 1))[:windows]
+        hit = np.flatnonzero(repeats >= need)
+        if hit.size:
+            start = int(hit[0])
+            return BlockView(parent=tuple(moves), t1=start + 1, t2=start + length)
+        length = bisect.bisect_left(s_max, length - int(repeats.max()))
     raise BlockNotFoundError(
         f"no block of the {ell}-step sequence satisfies len >= (1+{beta})*s")
 

@@ -216,17 +216,31 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
     Exactly one `# instance` header must name inst's content hash, exactly
     one `# tau0` header gives the start configuration, records are
     numbered 1..L in order, and the recorded steps must pass verify_trace;
-    otherwise ModelError.
+    otherwise ModelError.  The optional `# rule <r> seed <s>` and
+    `# cap_hit <0|1>` headers that trace_to_text writes are read back
+    (a file without them reads as an uncapped replay with seed 0); a
+    malformed or repeated one is a ModelError.
     """
     tau0 = None
     named = False
+    rule = cap_hit = None
     steps = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         if ln.startswith("#"):
-            if ln.startswith("# tau0 "):
+            if ln.startswith("# rule "):
+                if rule is not None:
+                    raise ModelError("trace file repeats its rule header")
+                rule = _parse_rule_header(ln)
+            elif ln.startswith("# cap_hit "):
+                if cap_hit is not None:
+                    raise ModelError("trace file repeats its cap_hit header")
+                if ln not in ("# cap_hit 0", "# cap_hit 1"):
+                    raise ModelError(f"malformed cap_hit header: {ln!r}")
+                cap_hit = ln.endswith("1")
+            elif ln.startswith("# tau0 "):
                 if tau0 is not None:
                     raise ModelError("trace file repeats its tau0 header")
                 tau0 = parse_configuration(ln[len("# tau0 "):])
@@ -248,9 +262,23 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
         raise ModelError("trace file missing instance header")
     if tau0 is None:
         raise ModelError("trace file missing tau0 header")
-    trace = Trace(instance=inst, tau0=tau0, steps=tuple(steps), rule="replay")
+    variant, seed = rule or ("replay", 0)
+    trace = Trace(instance=inst, tau0=tau0, steps=tuple(steps),
+                  step_cap_hit=bool(cap_hit), rule=variant, seed=seed)
     verify_trace(trace)
     return trace
+
+
+def _parse_rule_header(ln: str) -> tuple:
+    """(rule, seed) from `# rule <r> seed <s>`, as trace_to_text writes it."""
+    words = ln.split()
+    if (len(words) != 5 or words[3] != "seed"
+            or words[2] not in PIVOT_RULES + ("replay", "unknown")):
+        raise ModelError(f"malformed rule header: {ln!r}")
+    try:
+        return words[2], int(words[4])
+    except ValueError:
+        raise ModelError(f"malformed rule header: {ln!r}") from None
 
 
 def verify_trace(trace: Trace) -> None:

@@ -52,9 +52,25 @@ class Beta:
     def qualifies(self, length: int, s: int) -> bool:
         """length >= (1+beta)*s, exactly."""
         if self.rational is not None:
-            return length >= (1 + self.rational) * s
+            den = self.rational.denominator
+            return length * den >= (self.rational.numerator + den) * s
         diff = length - s
         return diff >= 0 and 2 * diff * diff >= s * s
+
+    def s_max_table(self, ell: int) -> list:
+        """[s_max(0), ..., s_max(ell)]: s_max(L) is the largest s with
+        qualifies(L, s).
+
+        qualifies(L, s) is monotone in s, and s_max(L + 1) <= s_max(L) + 1
+        because 1 + beta > 1, so one qualifies call per length builds it.
+        """
+        table = [0]
+        s = 0
+        for length in range(1, ell + 1):
+            if self.qualifies(length, s + 1):
+                s += 1
+            table.append(s)
+        return table
 
     def ceil_threshold(self, s: int) -> int:
         """ceil((1+beta)*s), exactly."""

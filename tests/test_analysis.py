@@ -1,5 +1,6 @@
 """Move-sequence structure: cycles, blocks, criticality, surplus."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import flipbench as fb
 from flipbench.analysis import cyclic_ratio_qualifies
 from flipbench.thresholds import Beta
 
-from conftest import random_moves
+from conftest import random_moves, run_random
 
 
 def _oracle_min_circuits(occ):
@@ -104,6 +105,9 @@ def test_block_decompositions_alternate_and_cover():
                     assert (v in stats.repeating) == seg.special
 
 
+BETAS = (Beta.sqrt_half(), Beta.of(2), Beta.of(Fraction(1, 2)), Beta.of(Fraction(3, 2)))
+
+
 def _oracle_critical(moves, beta):
     ell = len(moves)
     for length in range(1, ell + 1):
@@ -114,45 +118,118 @@ def _oracle_critical(moves, beta):
     return None
 
 
-def test_find_critical_block_oracle():
-    beta = Beta.sqrt_half()
-    found = 0
-    for seed in range(60):
-        rng = random.Random(f"fc:{seed}")
-        n = rng.randint(3, 8)
-        moves = random_moves(n, 2, rng.randint(2, 3 * n), 3000 + seed)
-        want = _oracle_critical(moves, beta)
-        if want is None:
-            with pytest.raises(fb.BlockNotFoundError):
-                fb.find_critical_block(moves, beta)
-            continue
-        found += 1
-        block = fb.find_critical_block(moves, beta)
-        assert (block.t1, block.t2) == want
-        # inclusion-minimality: no proper sub-block qualifies
+def _scan_critical(moves, beta):
+    """Second reference: a sliding window per length, one qualifies test per
+    window, O(ell^2) in all; fast enough for traces the oracle cannot take."""
+    ell = len(moves)
+    for length in range(1, ell + 1):
+        counts = collections.Counter(m.v for m in moves[:length])
+        for start in range(ell - length + 1):
+            if beta.qualifies(length, len(counts)):
+                return start + 1, start + length
+            if start + length < ell:
+                out = moves[start].v
+                counts[out] -= 1
+                if not counts[out]:
+                    del counts[out]
+                counts[moves[start + length].v] += 1
+    return None
+
+
+def _check_block(moves, beta, want, sub_windows=True):
+    """find_critical_block returns want, or raises when want is None; a found
+    block has length ceil((1+beta)s) and no proper sub-window qualifies."""
+    if want is None:
+        with pytest.raises(fb.BlockNotFoundError, match=f"{len(moves)}-step"):
+            fb.find_critical_block(moves, beta)
+        return None
+    block = fb.find_critical_block(moves, beta)
+    assert (block.t1, block.t2) == want
+    assert block.length == beta.ceil_threshold(block.stats().s)
+    if sub_windows:
         for a in range(block.t1, block.t2 + 1):
             for b in range(a, block.t2 + 1):
-                if (a, b) == (block.t1, block.t2):
-                    continue
-                sub = moves[a - 1:b]
-                assert not beta.qualifies(len(sub), len({m.v for m in sub}))
-        stats = block.stats()
-        assert block.length == beta.ceil_threshold(stats.s)
-    assert found >= 10
+                if (a, b) != (block.t1, block.t2):
+                    sub = moves[a - 1:b]
+                    assert not beta.qualifies(len(sub), len({m.v for m in sub}))
+    return block
+
+
+def test_find_critical_block_oracle():
+    found = missing = 0
+    for seed in range(160):
+        rng = random.Random(f"fc:{seed}")
+        k = rng.randint(2, 4)
+        n = rng.randint(1, 24)
+        ell = seed if seed < 2 else rng.randint(2, 120)
+        moves = random_moves(n, k, ell, 3000 + seed)
+        for beta in BETAS:
+            block = _check_block(moves, beta, _oracle_critical(moves, beta),
+                                 sub_windows=ell <= 40)
+            found += block is not None
+            missing += block is None
+    assert found >= 300 and missing >= 60
+
+
+def test_find_critical_block_on_natural_traces():
+    found = longest = 0
+    for seed in range(9):
+        trace = run_random((32, 64, 128)[seed % 3], 2, 700 + seed,
+                           rule=("first", "best", "random")[seed // 3])
+        longest = max(longest, len(trace))
+        reference = _oracle_critical if len(trace) <= 80 else _scan_critical
+        for beta in BETAS:
+            found += _check_block(trace.moves, beta, reference(trace.moves, beta)) is not None
+    assert found >= 6 and longest > 80
+
+
+def _spread_moves(n, length, gap, seed):
+    """k=2 moves whose vertex never repeats within `gap` steps, so that
+    critical blocks are long."""
+    rng = random.Random(f"spread:{seed}")
+    tau = [1] * n
+    out = []
+    for _ in range(length):
+        recent = {m.v for m in out[-gap:]}
+        v = rng.choice([u for u in range(n) if u not in recent])
+        out.append(fb.Move(v, tau[v], 3 - tau[v]))
+        tau[v] = 3 - tau[v]
+    return tuple(out)
+
+
+def test_find_critical_block_matches_scan_on_long_traces():
+    lengths = []
+    for seed in range(4):
+        rng = random.Random(f"fl:{seed}")
+        n = rng.randint(40, 120)
+        moves = _spread_moves(n, rng.randint(380, 420), rng.randint(5, n // 2), seed)
+        for beta in BETAS:
+            block = _check_block(moves, beta, _scan_critical(moves, beta), sub_windows=False)
+            lengths.append(block.length)
+    assert min(lengths) > 50
 
 
 def test_critical_block_exists_at_window_length():
-    beta = Beta.sqrt_half()
-    for seed in range(10):
-        n = 6 + seed
-        moves = random_moves(n, 2, beta.ceil_threshold(n), 4000 + seed)
-        fb.find_critical_block(moves, beta)  # must not raise
+    for beta in BETAS:
+        for seed in range(10):
+            n = 6 + seed
+            moves = random_moves(n, 2, beta.ceil_threshold(n), 4000 + seed)
+            fb.find_critical_block(moves, beta)  # must not raise
 
 
 def test_two_critical_block():
     moves = random_moves(4, 3, 12, 77)  # length 12 = 3*4 guarantees a block
     block = fb.two_critical_block(moves)
     assert block.length >= 3 * block.stats().s
+    for seed in range(20):
+        moves = random_moves(8, 3, 10 + 2 * seed, 4100 + seed)
+        want = _oracle_critical(moves, Beta.of(2))
+        try:
+            block = fb.two_critical_block(moves)
+        except fb.BlockNotFoundError:
+            assert want is None
+        else:
+            assert (block.t1, block.t2) == want
 
 
 def test_block_view():

@@ -138,7 +138,7 @@ def test_trace_without_instance_header_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["certify", "--mode", "k2"], ["analyze"]])
-@pytest.mark.parametrize("edit", ["second tau0", "renumbered"])
+@pytest.mark.parametrize("edit", ["second tau0", "renumbered", "rule header", "cap_hit header"])
 def test_trace_file_trust_boundary_exits_2(tmp_path, capsys, command, edit):
     trace = run_random(10, 2, 1)
     assert len(trace) >= 2
@@ -148,9 +148,16 @@ def test_trace_file_trust_boundary_exits_2(tmp_path, capsys, command, edit):
     if edit == "second tau0":
         lines.append("# tau0 " + " ".join(["1"] * trace.instance.n))
         message = "repeats its tau0 header"
-    else:
+    elif edit == "renumbered":
         lines = [ln if ln.startswith("#") else "7" + ln[ln.index(" "):] for ln in lines]
         message = "numbered 7, expected 1"
+    elif edit == "rule header":
+        lines = [ln.replace(" seed ", " seed x") if ln.startswith("# rule ") else ln
+                 for ln in lines]
+        message = "malformed rule header"
+    else:
+        lines = ["# cap_hit 2" if ln.startswith("# cap_hit ") else ln for ln in lines]
+        message = "malformed cap_hit header"
     with open(tpath, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert main([command[0], "--instance", ipath, "--trace", tpath, *command[1:]]) == 2

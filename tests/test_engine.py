@@ -235,6 +235,37 @@ def test_run_flip_exact_beyond_int64():
         fb.verify_trace(trace)
 
 
+def test_trace_text_roundtrips_rule_seed_and_cap():
+    inst = smoothed_instance(12, 2, 7)
+    capped = fb.run_flip(inst, random_tau0(12, 2, 7),
+                         fb.PivotRule(variant="random", seed=5), cap=2)
+    assert capped.step_cap_hit
+    text = fb.trace_to_text(capped)
+    back = fb.trace_from_text(inst, text)
+    assert (back.step_cap_hit, back.rule, back.seed) == (True, "random", 5)
+    assert back.steps == capped.steps and fb.trace_to_text(back) == text
+    # a file without the optional headers reads as an uncapped replay
+    bare = "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.startswith(("# rule ", "# cap_hit ")))
+    back = fb.trace_from_text(inst, bare)
+    assert (back.step_cap_hit, back.rule, back.seed) == (False, "replay", 0)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# rule random seed 5", "repeats its rule header"),
+    ("# cap_hit 1", "repeats its cap_hit header"),
+    ("# rule random seed", "malformed rule header"),
+    ("# rule random seed five", "malformed rule header"),
+    ("# rule sideways seed 5", "malformed rule header"),
+    ("# rule random sed 5", "malformed rule header"),
+    ("# cap_hit yes", "malformed cap_hit header"),
+])
+def test_trace_text_rejects_bad_rule_and_cap_headers(header, message):
+    trace = run_random(12, 2, 19)
+    with pytest.raises(fb.ModelError, match=message):
+        fb.trace_from_text(trace.instance, header + "\n" + fb.trace_to_text(trace))
+
+
 def test_trace_text_rejects_other_instance():
     trace = run_random(12, 2, 13)
     other = smoothed_instance(12, 2, 14)

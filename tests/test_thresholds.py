@@ -73,6 +73,26 @@ def test_rational_beta():
     assert half.qualifies(6, 4) and not half.qualifies(5, 4)
 
 
+def test_rational_qualifies_matches_fraction_form():
+    for value in (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(1, 7),
+                  Fraction(5, 3), Fraction(7071, 10000), Fraction(9)):
+        beta = Beta.of(value)
+        for s in range(0, 60):
+            for length in range(0, 12 * s + 3):
+                assert beta.qualifies(length, s) == (length >= (1 + value) * s)
+
+
+def test_s_max_table():
+    for beta in (Beta.sqrt_half(), Beta.of(2), Beta.of(Fraction(1, 2)),
+                 Beta.of(Fraction(3, 2)), Beta.of(Fraction(1, 7))):
+        table = beta.s_max_table(300)
+        assert len(table) == 301
+        for length, s_max in enumerate(table):
+            assert beta.qualifies(length, s_max)
+            assert not beta.qualifies(length, s_max + 1)
+    assert Beta.of(2).s_max_table(0) == [0]
+
+
 def test_parse_and_str():
     assert Beta.parse("1/sqrt2").rational is None
     assert Beta.parse("1/sqrt(2)").rational is None
