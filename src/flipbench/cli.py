@@ -11,9 +11,9 @@ import argparse
 import random
 import sys
 
-from .analysis import (classify_cyclic, cycles, cyclic_acyclic_blocks,
-                       find_critical_block, occurrence_stats, surplus,
-                       transition_singleton_blocks)
+from .analysis import (BlockNotFoundError, classify_cyclic, cycles,
+                       cyclic_acyclic_blocks, find_critical_block,
+                       occurrence_stats, surplus, transition_singleton_blocks)
 from .certificates import BUILDERS, certify
 from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip,
                      trace_from_text, trace_to_text)
@@ -71,7 +71,12 @@ def cmd_analyze(args) -> int:
             kind = ("transition" if k == 2 else "cyclic") if seg.special \
                 else ("singleton" if k == 2 else "acyclic")
             print(f"{kind} {seg.t1} {seg.t2}")
-        block = find_critical_block(moves, beta)
+        try:
+            block = find_critical_block(moves, beta)
+        except BlockNotFoundError:
+            # a valid trace need not hold a block: report it, not a bad file
+            print("critical none")
+            return 0
         stats = block.stats()
         print(f"critical beta={beta} t1={block.t1} t2={block.t2} "
               f"ell={block.length} s={stats.s}")

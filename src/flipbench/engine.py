@@ -1,11 +1,14 @@
 """FLIP execution engine: pivot rules, validated traces, replay, trace files.
 
-A run keeps, for every vertex, the total weight numerator towards each
-part in a numpy array, so scoring all n*k moves is one vectorised pass
-and a move is two row updates.  A supplied move sequence (replay, trace
-files, verify_trace) is instead checked by model.validate_move and
-scored by the model's step-sign kernel.  All deltas are recorded as
-exact Python integer numerators over the instance denominator.
+A run keeps its scores in numpy arrays: at k = 2 one gain vector
+W @ sigma (sigma = +1 in part 1, -1 in part 2), at k >= 3 an (n, k)
+array of every vertex's weight numerator towards each part.  Scoring
+all moves of a step is one vectorised pass, and a move is one row
+update at k = 2 and two column updates at k >= 3.  A supplied move
+sequence (replay, trace files, verify_trace) is instead checked by
+model.validate_move and scored by the model's step-sign kernel.  All
+deltas are recorded as exact Python integer numerators over the
+instance denominator.
 """
 
 from __future__ import annotations
@@ -91,38 +94,67 @@ class Trace:
 
 
 class _State:
-    """Mutable FLIP state, run_flip's fast path: configuration plus every
-    vertex's pull to each part.
+    """Mutable FLIP state, run_flip's fast path and nothing else's.
 
-    sums[p, v] is the weight numerator from v to the vertices in part p
-    (row 0 unused), so moving v to q improves by sums[tau[v], v] - sums[q, v]
-    and a move updates two rows.  The dtype is the weight matrix's: int64
-    within its overflow rule, Python ints beyond it, so no decision uses
-    floats.
+    k = 2: one gain vector gain = W @ sigma, where sigma[v] is +1 in part
+    1 and -1 in part 2.  A vertex's only move improves by
+    sigma[v] * gain[v], so scoring a step is one product, and a move is
+    one row update, gain -= 2 * sigma[v] * W[v], read from a copy of 2W.
+    k >= 3: sums[v, p - 1] is the weight numerator from v into part p,
+    so moving v to q improves by sums[v, tau[v] - 1] - sums[v, q - 1].
+    The (n, k) deltas read flat in (vertex, part) order with no copy, and
+    a move updates two columns.
+    The dtype is the weight matrix's: int64 within its overflow rule,
+    Python ints beyond it, so no decision uses floats.
     """
 
     def __init__(self, inst: Instance, tau0):
         check_configuration(inst, tau0)
-        self.n = inst.n
-        self.weights = inst.weight_matrix()
-        self.tau = np.array(tau0, dtype=np.intp)
-        parts = np.arange(inst.k + 1)[:, None] == self.tau
-        self.sums = parts.astype(np.int64) @ self.weights
-        # flat index of sums[tau[v], v]: take() on it beats 2-d fancy indexing
-        self.own = self.tau * self.n + np.arange(self.n)
+        self.k = inst.k
+        weights = inst.weight_matrix()
+        tau = np.array(tau0, dtype=np.intp)
+        if self.k == 2:
+            self.sigma = np.where(tau == 1, 1, -1).astype(weights.dtype)
+            self.gain = weights @ self.sigma
+            # rows of 2W: a move is then one in-place pass with no temporary
+            self.double = 2 * weights
+        else:
+            self.weights = weights
+            self.tau = tau
+            parts = tau[:, None] == np.arange(1, self.k + 1)
+            self.sums = weights @ parts.astype(np.int64)
+            # flat index of sums[v, tau[v] - 1]: take() on it beats 2-d fancy indexing
+            self.own = np.arange(inst.n) * self.k + tau - 1
 
     def deltas(self):
-        """Improvement numerator of every move, flat in (vertex, part) order;
-        a vertex's own part scores 0."""
-        depart = self.sums.ravel().take(self.own)
-        return (depart - self.sums[1:]).T.ravel()
+        """Improvement numerator of every candidate move, indexed as
+        move_at reads it: one move per vertex at k = 2, and (vertex, part)
+        order at k >= 3, where a vertex's own part scores 0."""
+        if self.k == 2:
+            return self.sigma * self.gain
+        return (self.sums.ravel().take(self.own)[:, None] - self.sums).ravel()
+
+    def move_at(self, i) -> Move:
+        if self.k == 2:
+            p = 1 if self.sigma[i] > 0 else 2
+            return Move(int(i), p, 3 - p)
+        v, q = divmod(int(i), self.k)
+        return Move(v, int(self.tau[v]), q + 1)
 
     def apply(self, move: Move) -> None:
-        row = self.weights[move.v]
-        self.sums[move.p] -= row
-        self.sums[move.q] += row
-        self.tau[move.v] = move.q
-        self.own[move.v] += (move.q - move.p) * self.n
+        if self.k == 2:
+            if move.p == 1:
+                self.gain -= self.double[move.v]
+                self.sigma[move.v] = -1
+            else:
+                self.gain += self.double[move.v]
+                self.sigma[move.v] = 1
+        else:
+            row = self.weights[move.v]
+            self.sums[:, move.p - 1] -= row
+            self.sums[:, move.q - 1] += row
+            self.tau[move.v] = move.q
+            self.own[move.v] += move.q - move.p
 
 
 def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
@@ -144,7 +176,8 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
             cap_hit = bool((d > 0).any())
             break
         if rule.variant == "random":
-            cands = np.flatnonzero(d > 0)
+            # d is 1-d: nonzero() is flatnonzero without its ravel
+            cands = (d > 0).nonzero()[0]
             if not len(cands):
                 break
             i = cands[rng.randrange(len(cands))]
@@ -153,8 +186,7 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
             i = (d > 0 if rule.variant == "first" else d).argmax()
             if d[i] <= 0:
                 break
-        v, q = divmod(int(i), inst.k)
-        move = Move(v, int(state.tau[v]), q + 1)
+        move = state.move_at(i)
         steps.append((move, int(d[i])))
         state.apply(move)
     return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(steps),

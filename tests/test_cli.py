@@ -76,6 +76,34 @@ def test_analyze_reports(tmp_path, capsys):
     assert out.startswith("cyclic ")
 
 
+def test_analyze_reports_a_trace_without_a_block(tmp_path, capsys):
+    # a natural trace with no critical block is valid input: the segments,
+    # then `critical none`, and exit 0
+    for seed in range(60):
+        trace = run_random(16, 2, seed)
+        try:
+            fb.find_critical_block(trace.moves, Beta.sqrt_half())
+        except fb.BlockNotFoundError:
+            break
+    else:
+        pytest.fail("every trace in the search budget holds a critical block")
+    ipath, tpath = _write_trace(tmp_path, trace)
+    assert main(["analyze", "--instance", ipath, "--trace", tpath,
+                 "--report", "blocks"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[-1] == "critical none" and captured.err == ""
+    assert lines[:-1] and all(ln.split()[0] in ("transition", "singleton")
+                              for ln in lines[:-1])
+    # so does a trace of no steps at all
+    inst = trace.instance
+    optimum = fb.run_flip(inst, trace.tau0).final_configuration()
+    ipath, tpath = _write_trace(tmp_path, fb.run_flip(inst, optimum))
+    assert main(["analyze", "--instance", ipath, "--trace", tpath,
+                 "--report", "blocks"]) == 0
+    assert capsys.readouterr().out == "critical none\n"
+
+
 def test_certify_half_mode(tmp_path, capsys):
     trace = run_random(12, 4, 606)
     ipath, tpath = _write_trace(tmp_path, trace)

@@ -121,7 +121,8 @@ def test_replay_error_names_the_reason():
 
 def test_supplied_sequences_never_build_the_flip_state(monkeypatch):
     # replay, verify_trace, trace files and slices go through validate_move
-    # and the step-sign kernel; only run_flip drives engine._State
+    # and the step-sign kernel; only run_flip drives engine._State, in its
+    # k = 2 gain-vector layout and its (n, k) layout alike
     built = []
 
     class Counting(fb.engine._State):
@@ -130,14 +131,15 @@ def test_supplied_sequences_never_build_the_flip_state(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(fb.engine, "_State", Counting)
-    trace = run_random(12, 3, 9)
-    assert built and len(trace) >= 4
-    built.clear()
-    fb.replay(trace.instance, trace.tau0, trace.moves)
-    fb.verify_trace(trace)
-    fb.trace_from_text(trace.instance, fb.trace_to_text(trace))
-    fb.slice_trace(trace, 2, 4)
-    assert built == []
+    for k in (2, 3):
+        trace = run_random(12, k, 9)
+        assert built and len(trace) >= 4
+        built.clear()
+        fb.replay(trace.instance, trace.tau0, trace.moves)
+        fb.verify_trace(trace)
+        fb.trace_from_text(trace.instance, fb.trace_to_text(trace))
+        fb.slice_trace(trace, 2, 4)
+        assert built == []
 
 
 def test_slice_trace():
@@ -200,17 +202,34 @@ def _assert_python_ints(trace):
         assert all(type(x) is int for x in (*move, dnum))
 
 
+def _reference_instance(kind, k, seed):
+    n = 13
+    if kind == "equal":
+        # every weight numerator equal: nearly every step is a many-way tie
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+        return fb.Instance(n=n, k=k, edges=edges, weight_nums=(3,) * len(edges),
+                           complete=True)
+    if kind == "isolated":
+        # a sparse G(n, p) with a vertex of no edges, which scores 0 for every move
+        for s in range(seed, seed + 100):
+            inst = smoothed_instance(n, k, s, kind="gnp", p=0.15)
+            if len({u for edge in inst.edges for u in edge}) < n:
+                return inst
+        pytest.fail("no G(n, p) instance with an isolated vertex in the search budget")
+    return smoothed_instance(n, k, seed, kind=kind, p=0.6)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["complete", "gnp"])
+@pytest.mark.parametrize("kind", ["complete", "gnp", "equal", "isolated"])
 def test_run_flip_equals_reference_flip(kind, k):
     cap_hits = 0
     for seed in range(2):
-        inst = smoothed_instance(13, k, 40 + seed, kind=kind, p=0.6)
+        inst = _reference_instance(kind, k, 40 + seed)
         # from all-in-one-part, every move of a vertex ties across the empty parts
         tau0 = random_tau0(13, k, (kind, k)) if seed else (1,) * 13
         for variant in ("first", "best", "random"):
             rule = fb.PivotRule(variant=variant, seed=seed)
-            for cap in (fb.engine.DEFAULT_CAP, 3):
+            for cap in (fb.engine.DEFAULT_CAP, 3, 1, 0):
                 trace = fb.run_flip(inst, tau0, rule, cap=cap)
                 steps, hit = reference_flip(inst, tau0, rule, cap)
                 assert list(trace.steps) == steps
@@ -221,18 +240,21 @@ def test_run_flip_equals_reference_flip(kind, k):
 
 
 def test_run_flip_exact_beyond_int64():
-    # n * denom >= 2**62 puts the state on Python ints instead of int64
+    # n * denom >= 2**62 puts the state on Python ints instead of int64, in
+    # the k = 2 gain vector and the k >= 3 (n, k) sums alike
     profile = fb.SmoothingProfile(phi=Fraction(1), seed=5)
-    inst = fb.make_instance("complete", 12, 3, profile, denom=2 ** 70)
-    assert inst.weight_matrix().dtype == object
-    tau0 = random_tau0(12, 3, 5)
-    for variant in ("first", "best", "random"):
-        rule = fb.PivotRule(variant=variant, seed=2)
-        trace = fb.run_flip(inst, tau0, rule)
-        assert list(trace.steps) == reference_flip(inst, tau0, rule, fb.engine.DEFAULT_CAP)[0]
-        assert max(trace.delta_nums) >= 2 ** 63
-        _assert_python_ints(trace)
-        fb.verify_trace(trace)
+    for k in (2, 3):
+        inst = fb.make_instance("complete", 12, k, profile, denom=2 ** 70)
+        assert inst.weight_matrix().dtype == object
+        tau0 = random_tau0(12, k, 5)
+        for variant in ("first", "best", "random"):
+            rule = fb.PivotRule(variant=variant, seed=2)
+            trace = fb.run_flip(inst, tau0, rule)
+            assert list(trace.steps) == reference_flip(inst, tau0, rule,
+                                                       fb.engine.DEFAULT_CAP)[0]
+            assert max(trace.delta_nums) >= 2 ** 63
+            _assert_python_ints(trace)
+            fb.verify_trace(trace)
 
 
 def test_trace_text_roundtrips_rule_seed_and_cap():
