@@ -14,8 +14,7 @@ from .engine import (PivotRule, ReplayError, Trace, replay, run_flip,
 from .analysis import (BlockNotFoundError, BlockView, Cycle, CycleSet, Pair,
                        classify_cyclic, cycles, cyclic_acyclic_blocks,
                        find_alpha_cyclic_block, find_critical_block,
-                       occurrence_stats, pairs, surplus,
-                       transition_singleton_blocks, two_critical_block)
+                       occurrence_stats, pairs, surplus, two_critical_block)
 from .matrices import (SignMatrix, build_M, build_P, exact_rank,
                        weighted_column_sums)
 from .certificates import (Arc, CertificateError, CertificateGraph,

@@ -1,8 +1,8 @@
 """Combinatorial structure of move sequences.
 
 Occurrence statistics, consecutive-occurrence pairs (k=2), minimal cycles
-(general k), cyclic/acyclic and transition/singleton block decompositions,
-critical blocks, surplus, and cyclic-heavy block location.  Everything
+(general k), the cyclic/acyclic block decomposition (transition/singleton
+blocks at k=2), critical blocks, surplus, and cyclic-heavy block location.  Everything
 here is a pure function of the move list (never of the starting
 configuration) and all time-steps are 1-based, matching trace files.
 """
@@ -176,7 +176,7 @@ def classify_cyclic(moves: Sequence[Move], k: int):
     return cyclic, moving - cyclic
 
 
-# --- block decompositions ----------------------------------------------------
+# --- block decomposition -----------------------------------------------------
 
 @dataclass(frozen=True)
 class Segment:
@@ -184,15 +184,19 @@ class Segment:
 
     t1: int
     t2: int
-    special: bool  # True for transition (k=2) / cyclic (general k) runs
+    special: bool  # True for cyclic runs (the transition runs at k=2)
 
 
-def _alternating(moves: Sequence[Move], special: set):
+def cyclic_acyclic_blocks(moves: Sequence[Move], k: int):
+    """Decomposition into maximal cyclic / acyclic runs.  At k=2 a vertex
+    is cyclic iff it moves at least twice, so these are the transition /
+    singleton runs."""
+    cyc, _ = classify_cyclic(moves, k)
     segments = []
     start = None
     flag = None
     for t, m in enumerate(moves, start=1):
-        f = m.v in special
+        f = m.v in cyc
         if flag is None:
             start, flag = t, f
         elif f != flag:
@@ -201,18 +205,6 @@ def _alternating(moves: Sequence[Move], special: set):
     if flag is not None:
         segments.append(Segment(start, len(moves), flag))
     return segments
-
-
-def transition_singleton_blocks(moves: Sequence[Move]):
-    """k=2 decomposition into transition (repeating) / singleton runs."""
-    stats = occurrence_stats(moves)
-    return _alternating(moves, set(stats.repeating))
-
-
-def cyclic_acyclic_blocks(moves: Sequence[Move], k: int):
-    """General-k decomposition into cyclic / acyclic runs."""
-    cyc, _ = classify_cyclic(moves, k)
-    return _alternating(moves, cyc)
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,25 @@ Three constructions are provided:
 Every construction is re-validated against the actual matrix rather than
 trusted; validate_certificate uses its own elimination, mod a prime other
 than exact_rank's with a rational fallback, so the check does not share
-code with exact_rank.  certify() is the one entry point from a mode name
-(k2, 3cut, half) to a built and validated certificate.
+code with exact_rank.
+
+CERTIFICATE_MODES is the one place that says, per mode (k2, 3cut, half),
+which block the rank lemma certifies, over which window, with which rank
+bound and builder; certificate_mode(k) picks the mode of a part count k,
+and certify() is the one entry point from a mode name to a built and
+validated certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .analysis import (Cycle, classify_cyclic, cyclic_acyclic_blocks,
-                       occurrence_stats, transition_singleton_blocks)
+from .analysis import (BlockView, Cycle, classify_cyclic, cyclic_acyclic_blocks,
+                       find_critical_block, occurrence_stats, two_critical_block)
 from .engine import Trace
 from .matrices import SignMatrix, build_P, exact_rank
 from .model import ModelError
@@ -87,7 +93,7 @@ def _witness_columns(trace: Trace):
     """(P, columns): the trace's P and its column numbers keyed by
     (tail, 1-based time-steps) of each pair (k=2) or minimal cycle, in
     P's column order, which lists a vertex's columns in label order."""
-    p = build_P(trace, "pairs" if trace.instance.k == 2 else "cycles")
+    p = build_P(trace, combine_mode(trace.instance.k))
     return p, {(lab.v, lab.times): j for j, lab in enumerate(p.col_labels)}
 
 
@@ -117,6 +123,20 @@ def is_good_arc(trace: Trace, v: int, u: int):
         if tail == v and u in _heads(trace, p, j, v):
             return True, times
     return False, None
+
+
+# --- the cyclic block decomposition, per vertex ------------------------------
+
+def _cyclic_segments(moves, k):
+    """(cyclic blocks, occ): occ[v][i] lists v's time-steps in cyclic block
+    i, for each block v moves in, ascending; occ's keys are exactly the
+    cyclic vertices."""
+    segments = [s for s in cyclic_acyclic_blocks(moves, k) if s.special]
+    occ: dict = {}
+    for i, s in enumerate(segments):
+        for t in range(s.t1, s.t2 + 1):
+            occ.setdefault(moves[t - 1].v, {}).setdefault(i, []).append(t)
+    return segments, occ
 
 
 # --- k=2: the functional certificate -----------------------------------------
@@ -171,45 +191,27 @@ def build_k2_certificate(trace: Trace, beta: Beta):
             f"reverse BFS did not reach vertices {sorted(missing)}; block is not critical")
 
     # augmentation: one straddling-pair arc per gap between adjacent
-    # transition blocks of each vertex, head = a singleton in the gap
-    segments = transition_singleton_blocks(moves)
-    trans_of: dict = {}
-    for seg in segments:
-        if not seg.special:
-            continue
-        for t in range(seg.t1, seg.t2 + 1):
-            w = moves[t - 1].v
-            trans_of.setdefault(w, [])
-            if not trans_of[w] or trans_of[w][-1] != (seg.t1, seg.t2):
-                if (seg.t1, seg.t2) not in trans_of[w]:
-                    trans_of[w].append((seg.t1, seg.t2))
-
+    # transition blocks of each vertex, head = a singleton in the gap; at
+    # k=2 the cyclic blocks are the transition blocks, since a vertex is
+    # cyclic iff it moves at least twice
+    _, occ = _cyclic_segments(moves, 2)
     arcs_by_tail: dict = {}
     for v in sorted(stats.repeating):
         tree_arc = tree[v]
         gap_arcs = []
-        blocks_v = trans_of.get(v, [])
-        for (a1, b1), (a2, b2) in zip(blocks_v, blocks_v[1:]):
-            t_a = max(t for t in stats.times[v] if t <= b1)
-            t_b = min(t for t in stats.times[v] if t >= a2)
+        blocks_v = list(occ[v].values())
+        for times_a, times_b in zip(blocks_v, blocks_v[1:]):
+            t_a, t_b = times_a[-1], times_b[0]
             cands = sorted(u for u in {moves[t - 1].v for t in range(t_a + 1, t_b)}
                            & stats.singletons
                            if inst.edge_index(u, v) is not None)
-            if not cands:
-                continue
-            u = cands[0]
-            gap_arcs.append(Arc(v=v, u=u, witness=(t_a, t_b)))
+            if cands:
+                gap_arcs.append(Arc(v=v, u=cands[0], witness=(t_a, t_b)))
         # at most one gap head can sit inside the tree witness pair and
         # break the staircase; discard that arc (and any duplicate head)
         x1, x2 = tree_arc.witness
-        kept = []
-        for arc in gap_arcs:
-            if arc.u == tree_arc.u:
-                continue
-            t_u = stats.times[arc.u][0]
-            if x1 < t_u < x2:
-                continue
-            kept.append(arc)
+        kept = [arc for arc in gap_arcs
+                if arc.u != tree_arc.u and not x1 < stats.times[arc.u][0] < x2]
         arcs_by_tail[v] = (tree_arc, *kept)
 
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
@@ -218,12 +220,6 @@ def build_k2_certificate(trace: Trace, beta: Beta):
 
 
 # --- k=3 complete graphs: leaping cycles -------------------------------------
-
-def _cyclic_segments(moves, k):
-    """Cyclic blocks, and the cyclic vertices: exactly those moving in them."""
-    segments = [s for s in cyclic_acyclic_blocks(moves, k) if s.special]
-    return segments, {moves[t - 1].v for s in segments for t in range(s.t1, s.t2 + 1)}
-
 
 def _segment_of(segments, t):
     for i, seg in enumerate(segments):
@@ -246,8 +242,8 @@ def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
     moves = trace.moves
     if not t1 < t2 < t3:
         raise CertificateError("time-steps must be increasing")
-    segments, cyc = _cyclic_segments(moves, 3)
-    if v not in cyc:
+    segments, occ = _cyclic_segments(moves, 3)
+    if v not in occ:
         raise CertificateError(f"vertex {v} is not cyclic")
     blocks = [_segment_of(segments, t) for t in (t1, t2, t3)]
     if None in blocks or len(set(blocks)) != 3:
@@ -256,18 +252,8 @@ def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
         if moves[t - 1].v != v:
             raise CertificateError(f"step {t} does not move vertex {v}")
 
-    stats = occurrence_stats(moves)
-    ts_v = stats.times[v]
-
-    def last_in(seg_idx):
-        seg = segments[seg_idx]
-        return max(t for t in ts_v if seg.t1 <= t <= seg.t2)
-
-    def first_in(seg_idx):
-        seg = segments[seg_idx]
-        return min(t for t in ts_v if seg.t1 <= t <= seg.t2)
-
-    tp1, tp2, tp3 = last_in(blocks[0]), last_in(blocks[1]), last_in(blocks[2])
+    ts_v = occurrence_stats(moves).times[v]
+    tp1, tp2, tp3 = (occ[v][i][-1] for i in blocks)
     a, b = moves[tp1 - 1].p, moves[tp1 - 1].q
     c = ({1, 2, 3} - {a, b}).pop()
 
@@ -284,7 +270,7 @@ def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
                     return Cycle(v=v, times=(tp1, tm, t), parts=(a, b, c))
             raise CertificateError("missing forced intermediate move; trace invalid")
     # Case 3: last occurrence in block 2 and first in block 3 reverse each other
-    t_first3 = first_in(blocks[2])
+    t_first3 = occ[v][blocks[2]][0]
     m2, m3 = moves[tp2 - 1], moves[t_first3 - 1]
     if m2.q == m3.p and m3.q == m2.p:
         return Cycle(v=v, times=(tp2, t_first3), parts=(m2.p, m3.p))
@@ -298,7 +284,7 @@ def is_tricky(trace: Trace, cyc: Cycle) -> bool:
     if len(cyc.times) != 3:
         raise CertificateError("trickiness is defined for 3-cycles")
     moves = trace.moves
-    segments, cyclic_set = _cyclic_segments(moves, trace.instance.k)
+    segments, occ = _cyclic_segments(moves, trace.instance.k)
     blocks = [_segment_of(segments, t) for t in cyc.times]
     if None in blocks:
         raise CertificateError("cycle steps must lie in cyclic blocks")
@@ -307,7 +293,7 @@ def is_tricky(trace: Trace, cyc: Cycle) -> bool:
     if len(set(blocks)) != 3:
         return False
     t1, t2, t3 = cyc.times
-    acyc = {m.v for m in moves} - cyclic_set
+    acyc = {m.v for m in moves} - occ.keys()
 
     def middle(lo, hi):
         return {moves[t - 1].v for t in range(lo, hi + 1)} & acyc
@@ -331,15 +317,11 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
     if not inst.complete:
         raise CertificateError("witness argument requires a complete graph")
     moves = trace.moves
-    segments, cyclic_set = _cyclic_segments(moves, 3)
-    if v not in cyclic_set:
+    segments, occ = _cyclic_segments(moves, 3)
+    if v not in occ:
         raise CertificateError(f"vertex {v} is not cyclic")
-    stats = occurrence_stats(moves)
-    acyc = stats.moving - cyclic_set
-    v_blocks = []
-    for i, seg in enumerate(segments):
-        if any(seg.t1 <= t <= seg.t2 for t in stats.times[v]):
-            v_blocks.append(i)
+    acyc = {m.v for m in moves} - occ.keys()
+    v_blocks = list(occ[v])
     b = len(v_blocks)
     big_r = (b - 1) // 3
     if big_r == 0:
@@ -349,12 +331,9 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
     window_gap_sets = []
     for r in range(1, big_r + 1):
         win = v_blocks[3 * (r - 1):3 * (r - 1) + 4]
-        occ = lambda i: [t for t in stats.times[v]
-                         if segments[i].t1 <= t <= segments[i].t2]
-        cand1 = leaping_cycle(trace, v, occ(win[0])[-1], occ(win[1])[-1],
-                              occ(win[2])[-1])
-        cand2 = leaping_cycle(trace, v, occ(win[1])[-1], occ(win[2])[-1],
-                              occ(win[3])[-1])
+        last = [occ[v][i][-1] for i in win]
+        cand1 = leaping_cycle(trace, v, *last[:3])
+        cand2 = leaping_cycle(trace, v, *last[1:])
         tricky1 = len(cand1.times) == 3 and is_tricky(trace, cand1)
         chosen = cand2 if tricky1 else cand1
         if tricky1 and len(chosen.times) == 3 and is_tricky(trace, chosen):
@@ -423,8 +402,8 @@ def build_3cut_certificate(trace: Trace, check_rank: bool = True):
     if half_graph.n_arcs > graph.n_arcs:
         graph = half_graph
     bound = graph.n_arcs
-    stats = occurrence_stats(moves)
-    need = -(-stats.s // 32)  # ceil(s/32)
+    need = CERTIFICATE_MODES["3cut"].rank_bound(
+        occurrence_stats(moves).s, len(cyclic_set), Beta.of(2))
     if bound < need:
         raise CertificateError(
             f"certificate bound {bound} below ceil(s/32)={need}; block not 2-critical?")
@@ -632,19 +611,53 @@ def _rational_row_rank(rows) -> int:
     return rank
 
 
-# --- dispatch ----------------------------------------------------------------
+# --- certificate modes -------------------------------------------------------
 
-# mode -> builder(trace, beta) -> (graph, bound); only k2 reads beta
-BUILDERS = {
-    "k2": build_k2_certificate,
-    "3cut": lambda trace, beta: build_3cut_certificate(trace, check_rank=False),
-    "half": lambda trace, beta: build_half_certificate(trace, check_rank=False),
+@dataclass(frozen=True)
+class CertificateMode:
+    """One mode's rank-lemma choices; a callable ignores a beta it does not need."""
+
+    block: Callable       # (window moves, beta) -> BlockView to certify
+    window: Callable      # (k, beta, n) -> lemma window length
+    rank_bound: Callable  # (s, c, beta) -> lemma rank bound of a block
+    build: Callable       # (trace, beta) -> (graph, bound)
+
+
+CERTIFICATE_MODES = {
+    # a beta-critical block of the window, rank >= ceil(beta s/(1+2beta))
+    "k2": CertificateMode(
+        block=find_critical_block,
+        window=lambda k, beta, n: beta.ceil_threshold(n),
+        rank_bound=lambda s, c, beta: beta.ceil_rank_bound(s),
+        build=build_k2_certificate),
+    # a 2-critical block of the window (k=3, complete graphs), rank >= ceil(s/32)
+    "3cut": CertificateMode(
+        block=lambda moves, beta: two_critical_block(moves),
+        window=lambda k, beta, n: 3 * n,
+        rank_bound=lambda s, c, beta: -(-s // 32),
+        build=lambda trace, beta: build_3cut_certificate(trace, check_rank=False)),
+    # the whole window, rank >= ceil(c/2)
+    "half": CertificateMode(
+        block=lambda moves, beta: BlockView(moves, 1, len(moves)),
+        window=lambda k, beta, n: k * n,
+        rank_bound=lambda s, c, beta: -(-c // 2),
+        build=lambda trace, beta: build_half_certificate(trace, check_rank=False)),
 }
+
+
+def certificate_mode(k: int) -> str:
+    """The certificate mode of part count k: k2, 3cut at k=3, else half."""
+    return {2: "k2", 3: "3cut"}.get(k, "half")
+
+
+def combine_mode(k: int) -> str:
+    """build_P's columns at part count k: pairs at k=2, minimal cycles else."""
+    return "pairs" if k == 2 else "cycles"
 
 
 def certify(trace: Trace, mode: str, beta: Beta):
     """Build the mode's certificate and validate it: (graph, bound, verdict)."""
-    if mode not in BUILDERS:
+    if mode not in CERTIFICATE_MODES:
         raise CertificateError(f"unknown certificate mode {mode!r}")
-    graph, bound = BUILDERS[mode](trace, beta)
+    graph, bound = CERTIFICATE_MODES[mode].build(trace, beta)
     return graph, bound, validate_certificate(graph, trace)

@@ -13,8 +13,8 @@ import sys
 
 from .analysis import (BlockNotFoundError, classify_cyclic, cycles,
                        cyclic_acyclic_blocks, find_critical_block,
-                       occurrence_stats, surplus, transition_singleton_blocks)
-from .certificates import BUILDERS, certify
+                       occurrence_stats, surplus)
+from .certificates import CERTIFICATE_MODES, certify
 from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip,
                      trace_from_text, trace_to_text)
 from .harness import EXPERIMENTS, parse_config, rows_to_csv, run_experiment
@@ -65,9 +65,9 @@ def cmd_analyze(args) -> int:
     k = trace.instance.k
     beta = Beta.parse(args.beta)
     if args.report == "blocks":
-        segs = (transition_singleton_blocks(moves) if k == 2
-                else cyclic_acyclic_blocks(moves, k))
-        for seg in segs:
+        # at k=2 the cyclic vertices are the repeating ones, so the cyclic
+        # runs are the transition blocks
+        for seg in cyclic_acyclic_blocks(moves, k):
             kind = ("transition" if k == 2 else "cyclic") if seg.special \
                 else ("singleton" if k == 2 else "acyclic")
             print(f"{kind} {seg.t1} {seg.t2}")
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build and validate a rank certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--mode", required=True, choices=list(BUILDERS))
+    p.add_argument("--mode", required=True, choices=list(CERTIFICATE_MODES))
     p.add_argument("--beta", default="1/sqrt2")
     p.set_defaults(fn=cmd_certify)
 

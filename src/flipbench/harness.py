@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (BlockView, classify_cyclic, find_critical_block,
-                       occurrence_stats, two_critical_block)
-from .certificates import certify
+from .analysis import classify_cyclic, occurrence_stats
+from .certificates import (CERTIFICATE_MODES, certificate_mode, certify,
+                           combine_mode)
 from .engine import DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip, slice_trace
 from .generator import GRAPH_KINDS, SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank
@@ -223,16 +223,8 @@ def exp_scaling(cfg: ExperimentConfig):
 # --- rank campaign -----------------------------------------------------------
 
 def window_length(k: int, beta: Beta, n: int) -> int:
-    """Lemma window: ceil((1+beta)n) for k=2, 3n for k=3, kn otherwise."""
-    if k == 2:
-        return beta.ceil_threshold(n)
-    if k == 3:
-        return 3 * n
-    return k * n
-
-
-# k -> certificate mode of the rank campaign; every other k gets "half"
-RANK_CERTIFICATES = {2: "k2", 3: "3cut"}
+    """The lemma window of k's certificate mode."""
+    return CERTIFICATE_MODES[certificate_mode(k)].window(k, beta, n)
 
 
 def _rank_trial(args):
@@ -248,23 +240,16 @@ def _rank_trial(args):
     if len(trace) < w:
         return {**base, "status": "skip", "ell": len(trace), "s": "", "c": "",
                 "rank": "", "bound": "", "cert_arcs": "", "violation": ""}
-    window_moves = trace.moves[:w]
-    mode = RANK_CERTIFICATES.get(cfg.k, "half")
-    if mode == "k2":
-        block = find_critical_block(window_moves, cfg.beta)
-    elif mode == "3cut":
-        block = two_critical_block(window_moves)
-    else:
-        block = BlockView(window_moves, 1, w)
+    mode = certificate_mode(cfg.k)
+    block = CERTIFICATE_MODES[mode].block(trace.moves[:w], cfg.beta)
     sub = slice_trace(trace, block.t1, block.t2)
     stats = occurrence_stats(sub.moves)
     cyc, _ = classify_cyclic(sub.moves, cfg.k)
     # the lemma's rank lower bound for the block, beside the certificate's own
-    bound = {"k2": cfg.beta.ceil_rank_bound(stats.s), "3cut": -(-stats.s // 32),
-             "half": -(-len(cyc) // 2)}[mode]
+    bound = CERTIFICATE_MODES[mode].rank_bound(stats.s, len(cyc), cfg.beta)
     # the certificate and the exact rank read the one P kept on sub
     graph, _, verdict = certify(sub, mode, cfg.beta)
-    rank = exact_rank(build_P(sub, "pairs" if cfg.k == 2 else "cycles"))
+    rank = exact_rank(build_P(sub, combine_mode(cfg.k)))
     violation = int(rank < bound or rank < graph.n_arcs or not verdict.valid)
     return {**base, "status": "ok", "ell": len(sub.moves), "s": stats.s,
             "c": len(cyc), "rank": rank, "bound": bound,

@@ -342,6 +342,12 @@ def move_delta(inst: Instance, tau: Sequence[int], m: Move) -> Fraction:
 
 
 def apply_move(tau: Configuration, m: Move) -> Configuration:
+    """tau after m.  With no k at hand a destination part above k passes;
+    validate_move checks that range against an instance."""
+    if not 0 <= m.v < len(tau):
+        raise InvalidMoveError(m, "vertex out of range")
+    if m.q < 1:
+        raise InvalidMoveError(m, "destination part below 1")
     if tau[m.v] != m.p:
         raise InvalidMoveError(m, f"vertex {m.v} is in part {tau[m.v]}, not {m.p}")
     if m.p == m.q:

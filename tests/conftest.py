@@ -154,3 +154,15 @@ def synth_traces(n: int, k: int, s: int, length: int, want: int,
             out.append(tr)
         seed += 1
     return out
+
+
+def synth_3cut_blocks():
+    """The 2-critical k=3 blocks of synth_trace(12, 3, 5, 15, seed) over
+    seeds 0-149, each sliced to a trace of its own (ten of them)."""
+    out = []
+    for seed in range(150):
+        trace = synth_trace(12, 3, 5, 15, seed)
+        if trace is not None:
+            block = fb.two_critical_block(trace.moves)
+            out.append(fb.slice_trace(trace, block.t1, block.t2))
+    return out

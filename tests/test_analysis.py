@@ -88,21 +88,22 @@ def test_occurrence_stats_and_pairs():
 
 
 def test_block_decompositions_alternate_and_cover():
-    for seed in range(20):
+    for seed in range(200):
         rng = random.Random(f"bd:{seed}")
         k = rng.choice([2, 3])
         moves = random_moves(6, k, rng.randint(5, 20), 2000 + seed)
-        segs = (fb.transition_singleton_blocks(moves) if k == 2
-                else fb.cyclic_acyclic_blocks(moves, k))
+        segs = fb.cyclic_acyclic_blocks(moves, k)
         assert segs[0].t1 == 1 and segs[-1].t2 == len(moves)
         for a, b in zip(segs, segs[1:]):
             assert b.t1 == a.t2 + 1 and a.special != b.special
+        cyc, _ = fb.classify_cyclic(moves, k)
+        for seg in segs:
+            assert all((moves[t - 1].v in cyc) == seg.special
+                       for t in range(seg.t1, seg.t2 + 1))
         if k == 2:
-            stats = fb.occurrence_stats(moves)
-            for seg in segs:
-                for t in range(seg.t1, seg.t2 + 1):
-                    v = moves[t - 1].v
-                    assert (v in stats.repeating) == seg.special
+            # so at k=2 the cyclic / acyclic runs are the transition /
+            # singleton blocks
+            assert cyc == fb.occurrence_stats(moves).repeating
 
 
 BETAS = (Beta.sqrt_half(), Beta.of(2), Beta.of(Fraction(1, 2)), Beta.of(Fraction(3, 2)))

@@ -8,8 +8,8 @@ import flipbench as fb
 from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
-from conftest import (MatrixBuilds, run_random, smoothed_instance, synth_trace,
-                      synth_traces)
+from conftest import (MatrixBuilds, run_random, smoothed_instance, synth_3cut_blocks,
+                      synth_trace, synth_traces)
 
 
 def _k2_trace(moves, n=3):
@@ -190,14 +190,9 @@ def test_valid_verdict_bound_is_the_validated_graph():
     # k2 bound is the lemma's max{s2, ceil(beta/(1+beta) s1)}, which its
     # graph meets or exceeds; 3cut and half report their graph's size
     beta = Beta.sqrt_half()
-    blocks = {"k2": _collect_k2_blocks(8, seed0=100),
-              "3cut": [], "half": [run_random(14, 4, 600 + s) for s in range(10)]}
-    for seed in range(150):
-        trace = synth_trace(12, 3, 5, 15, seed)
-        if trace is not None:
-            block = fb.two_critical_block(trace.moves)
-            blocks["3cut"].append(fb.slice_trace(trace, block.t1, block.t2))
-    assert set(blocks) == set(fb.certificates.BUILDERS)
+    blocks = {"k2": _collect_k2_blocks(8, seed0=100), "3cut": synth_3cut_blocks(),
+              "half": [run_random(14, 4, 600 + s) for s in range(10)]}
+    assert set(blocks) == set(fb.certificates.CERTIFICATE_MODES)
     assert len(blocks["3cut"]) == 10
     for mode, subs in blocks.items():
         for sub in subs:

@@ -4,8 +4,10 @@ Each digest is the sha256 of a workload's whole output: the CSV text of
 every config in a mode, or every `flipbench certify` stdout and exit
 code over a corpus of traces.  A campaign that raises contributes its
 error message instead of a CSV.  The values were recorded before the
-certificate builders read their witness columns from the trace's P, and
-pin that refactors keep every output byte-identical.
+certificate builders read their witness columns from the trace's P
+(`certify_3cut` before the certificate-mode table took over the rank
+campaign's per-k choices), and pin that refactors keep every output
+byte-identical.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from flipbench.cli import main
 from flipbench.harness import ExperimentConfig
 from flipbench.thresholds import Beta
 
-from conftest import run_random
+from conftest import run_random, synth_3cut_blocks
 
 GOLDEN = {
     "scaling": "1415354cca9488fd7603183d36bb197499fa4e4c39941386c2cf68d619382caa",
@@ -27,6 +29,7 @@ GOLDEN = {
     "rank_short_window": "1272fd0fcf48c1f43f23b3d027181a8c0ba40820833bfa1133b55b904ac86c57",
     "certify_k2": "a972f7d18801b9cb6a89dc5f9f3699d7fc7c05fe5ae1bb089a50d6f6202c55c8",
     "certify_half": "ccb7bb164c8ae6a54bfe3888fe70c91e3413cd0274975434fce55ce11eb5ba52",
+    "certify_3cut": "8a147793511e6451fb3e16d83b07c250defe23657b018acae18116cc3457c233",
 }
 
 CONFIGS = {
@@ -94,6 +97,8 @@ def compute_digests(tmp_path, capsys, monkeypatch) -> dict:
         _certify_outputs(tmp_path, capsys, _natural_k2_blocks(), "k2"))
     out["certify_half"] = _digest(_certify_outputs(
         tmp_path, capsys, (run_random(14, 4, 600 + s) for s in range(12)), "half"))
+    out["certify_3cut"] = _digest(
+        _certify_outputs(tmp_path, capsys, synth_3cut_blocks(), "3cut"))
     return out
 
 

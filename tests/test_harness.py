@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, seeds, bounds, MC, CSV determinism."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -123,11 +124,37 @@ def test_theorem_bound_regimes():
         8.0 ** (2 * 5 * 3 * math.log2(24) + 3 + 0.1))
 
 
+def _least(holds):
+    return next(t for t in itertools.count() if holds(t))
+
+
 def test_window_length():
-    beta = Beta.sqrt_half()
-    assert window_length(2, beta, 16) == beta.ceil_threshold(16)
-    assert window_length(3, beta, 16) == 48
-    assert window_length(5, beta, 16) == 80
+    # each k's mode, lemma window and rank bound, against the paper: k=2 a
+    # beta-critical block of the first ceil((1+beta)n) steps with rank >=
+    # ceil(beta s/(1+2beta)); k=3 a 2-critical block of the first 3n with
+    # rank >= ceil(s/32); k >= 4 all of the first kn with rank >= ceil(c/2)
+    modes = fb.certificates.CERTIFICATE_MODES
+    sqrt_half = Beta.sqrt_half()
+    rationals = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+    assert [fb.certificates.certificate_mode(k) for k in (2, 3, 4, 5)] == \
+        ["k2", "3cut", "half", "half"]
+    for n in (1, 2, 7, 16, 50, 129):
+        # (1 + 1/sqrt2) n <= w  iff  w >= n and 2 (w - n)^2 >= n^2
+        assert window_length(2, sqrt_half, n) == \
+            _least(lambda w: w >= n and 2 * (w - n) ** 2 >= n * n)
+        for b in rationals:
+            assert window_length(2, Beta.of(b), n) == math.ceil((1 + b) * n)
+        for k in (3, 4, 5):
+            assert window_length(k, sqrt_half, n) == (3 * n if k == 3 else k * n)
+    for s in range(100):
+        c = s // 3
+        # s / (2 + sqrt2) <= t  iff  s <= 2t or 2 t^2 >= (s - 2t)^2
+        assert modes["k2"].rank_bound(s, c, sqrt_half) == \
+            _least(lambda t: s <= 2 * t or 2 * t * t >= (s - 2 * t) ** 2)
+        for b in rationals:
+            assert modes["k2"].rank_bound(s, c, Beta.of(b)) == math.ceil(b * s / (1 + 2 * b))
+        assert modes["3cut"].rank_bound(s, c, sqrt_half) == _least(lambda t: 32 * t >= s)
+        assert modes["half"].rank_bound(s, c, sqrt_half) == _least(lambda t: 2 * t >= c)
 
 
 def test_mc_refuses_dependent_vectors():

@@ -117,6 +117,15 @@ def test_move_validation():
     assert fb.apply_move(tau, fb.Move(0, 1, 2)) == (2, 2, 3, 1)
 
 
+def test_apply_move_rejects_vertices_and_parts_out_of_range():
+    # a negative vertex once moved the last one, and part 0 was accepted
+    for tau, move in (((1, 2), fb.Move(-1, 2, 1)), ((1, 2), fb.Move(5, 1, 2)),
+                      ((1, 2), fb.Move(2, 1, 2)), ((1, 2), fb.Move(0, 1, 0)),
+                      ((1, 2), fb.Move(0, 1, -3))):
+        with pytest.raises(fb.InvalidMoveError):
+            fb.apply_move(tau, move)
+
+
 def test_configuration_helpers():
     inst = smoothed_instance(4, 2, 0)
     with pytest.raises(fb.ModelError):
