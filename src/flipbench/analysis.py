@@ -10,7 +10,6 @@ configuration) and all time-steps are 1-based, matching trace files.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -304,8 +303,9 @@ def surplus(moves: Sequence[Move], k: int) -> int:
 def cyclic_ratio_qualifies(c: int, length: int, k: int, alpha: Fraction, n: int) -> bool:
     """c/length >= (alpha-k+1) / ((2k-1) * alpha * lg(alpha*n)), exactly.
 
-    Floats decide away from the boundary; ties fall back to an integer
-    power comparison of (alpha*n)^b vs 2^a.
+    With a/b = (alpha-k+1) * length / ((2k-1) * alpha * c) in lowest
+    terms, that is lg(alpha*n) >= a/b, decided as the integer comparison
+    (alpha*n)^b >= 2^a.
     """
     alpha = Fraction(alpha)
     need = alpha - (k - 1)
@@ -317,12 +317,6 @@ def cyclic_ratio_qualifies(c: int, length: int, k: int, alpha: Fraction, n: int)
     if an <= 1:
         return False
     exponent = Fraction(need * length, (2 * k - 1) * alpha * c)
-    lhs = math.log2(float(an))
-    rhs = float(exponent)
-    if lhs > rhs + 1e-9:
-        return True
-    if lhs < rhs - 1e-9:
-        return False
     a, b = exponent.numerator, exponent.denominator
     return an.numerator ** b >= (2 ** a) * (an.denominator ** b)
 

@@ -127,16 +127,22 @@ def is_good_arc(trace: Trace, v: int, u: int):
 
 # --- the cyclic block decomposition, per vertex ------------------------------
 
-def _cyclic_segments(moves, k):
-    """(cyclic blocks, occ): occ[v][i] lists v's time-steps in cyclic block
-    i, for each block v moves in, ascending; occ's keys are exactly the
-    cyclic vertices."""
-    segments = [s for s in cyclic_acyclic_blocks(moves, k) if s.special]
-    occ: dict = {}
-    for i, s in enumerate(segments):
-        for t in range(s.t1, s.t2 + 1):
-            occ.setdefault(moves[t - 1].v, {}).setdefault(i, []).append(t)
-    return segments, occ
+def _cyclic_segments(trace: Trace):
+    """(cyclic blocks, occ, block_of), built once per trace: occ[v][i]
+    lists v's time-steps in cyclic block i, for each block v moves in,
+    ascending, and occ's keys are exactly the cyclic vertices; block_of
+    maps each time-step in a cyclic block to that block's index."""
+    def build():
+        moves = trace.moves
+        segments = [s for s in cyclic_acyclic_blocks(moves, trace.instance.k) if s.special]
+        occ: dict = {}
+        block_of: dict = {}
+        for i, s in enumerate(segments):
+            for t in range(s.t1, s.t2 + 1):
+                block_of[t] = i
+                occ.setdefault(moves[t - 1].v, {}).setdefault(i, []).append(t)
+        return segments, occ, block_of
+    return trace.derived("cyclic", build)
 
 
 # --- k=2: the functional certificate -----------------------------------------
@@ -194,7 +200,7 @@ def build_k2_certificate(trace: Trace, beta: Beta):
     # transition blocks of each vertex, head = a singleton in the gap; at
     # k=2 the cyclic blocks are the transition blocks, since a vertex is
     # cyclic iff it moves at least twice
-    _, occ = _cyclic_segments(moves, 2)
+    _, occ, _ = _cyclic_segments(trace)
     arcs_by_tail: dict = {}
     for v in sorted(stats.repeating):
         tree_arc = tree[v]
@@ -221,13 +227,6 @@ def build_k2_certificate(trace: Trace, beta: Beta):
 
 # --- k=3 complete graphs: leaping cycles -------------------------------------
 
-def _segment_of(segments, t):
-    for i, seg in enumerate(segments):
-        if seg.t1 <= t <= seg.t2:
-            return i
-    return None
-
-
 def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
     """A leaping cycle over v spanning its three given cyclic blocks (k=3).
 
@@ -242,22 +241,22 @@ def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
     moves = trace.moves
     if not t1 < t2 < t3:
         raise CertificateError("time-steps must be increasing")
-    segments, occ = _cyclic_segments(moves, 3)
+    _, occ, block_of = _cyclic_segments(trace)
     if v not in occ:
         raise CertificateError(f"vertex {v} is not cyclic")
-    blocks = [_segment_of(segments, t) for t in (t1, t2, t3)]
+    blocks = [block_of.get(t) for t in (t1, t2, t3)]
     if None in blocks or len(set(blocks)) != 3:
         raise CertificateError("time-steps must lie in three distinct cyclic blocks")
     for t in (t1, t2, t3):
         if moves[t - 1].v != v:
             raise CertificateError(f"step {t} does not move vertex {v}")
 
-    ts_v = occurrence_stats(moves).times[v]
     tp1, tp2, tp3 = (occ[v][i][-1] for i in blocks)
     a, b = moves[tp1 - 1].p, moves[tp1 - 1].q
     c = ({1, 2, 3} - {a, b}).pop()
 
-    span = [t for t in ts_v if tp1 <= t <= tp3]
+    # a cyclic vertex moves only inside cyclic blocks
+    span = [t for ts in occ[v].values() for t in ts if tp1 <= t <= tp3]
     # Case 1: v moves b -> a somewhere in the span
     for t in span:
         if moves[t - 1].p == b and moves[t - 1].q == a:
@@ -284,8 +283,8 @@ def is_tricky(trace: Trace, cyc: Cycle) -> bool:
     if len(cyc.times) != 3:
         raise CertificateError("trickiness is defined for 3-cycles")
     moves = trace.moves
-    segments, occ = _cyclic_segments(moves, trace.instance.k)
-    blocks = [_segment_of(segments, t) for t in cyc.times]
+    _, occ, block_of = _cyclic_segments(trace)
+    blocks = [block_of.get(t) for t in cyc.times]
     if None in blocks:
         raise CertificateError("cycle steps must lie in cyclic blocks")
     if len(set(blocks)) < 2:
@@ -317,7 +316,7 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
     if not inst.complete:
         raise CertificateError("witness argument requires a complete graph")
     moves = trace.moves
-    segments, occ = _cyclic_segments(moves, 3)
+    segments, occ, _ = _cyclic_segments(trace)
     if v not in occ:
         raise CertificateError(f"vertex {v} is not cyclic")
     acyc = {m.v for m in moves} - occ.keys()

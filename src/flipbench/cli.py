@@ -8,7 +8,6 @@ certificate), experiment (batch campaigns to CSV).
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from .analysis import (BlockNotFoundError, classify_cyclic, cycles,
@@ -17,35 +16,30 @@ from .analysis import (BlockNotFoundError, classify_cyclic, cycles,
 from .certificates import CERTIFICATE_MODES, certify
 from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip,
                      trace_from_text, trace_to_text)
-from .harness import EXPERIMENTS, parse_config, rows_to_csv, run_experiment
-from .model import Instance, ModelError, parse_configuration
+from .harness import parse_config, rows_to_csv, run_experiment
+from .model import (Instance, ModelError, parse_configuration,
+                    random_configuration)
 from .thresholds import Beta
 
 
-def _load_instance(path: str, k: int | None) -> Instance:
+def _load_instance(path: str) -> Instance:
     with open(path) as fh:
-        inst = Instance.from_text(fh.read())
-    if k is not None and k != inst.k:
-        inst = Instance(n=inst.n, k=k, edges=inst.edges,
-                        weight_nums=inst.weight_nums, denom=inst.denom,
-                        phi=inst.phi, complete=inst.complete)
-    return inst
+        return Instance.from_text(fh.read())
 
 
 def _load_trace(instance_path: str, trace_path: str):
-    inst = _load_instance(instance_path, None)
+    inst = _load_instance(instance_path)
     with open(trace_path) as fh:
         return trace_from_text(inst, fh.read())
 
 
 def cmd_run(args) -> int:
-    inst = _load_instance(args.instance, args.k)
+    inst = _load_instance(args.instance)
     if args.tau0:
         with open(args.tau0) as fh:
             tau0 = parse_configuration(fh.read())
     else:
-        rng = random.Random(f"tau0:{args.seed}")
-        tau0 = tuple(rng.randint(1, inst.k) for _ in range(inst.n))
+        tau0 = random_configuration(inst.n, inst.k, args.seed)
     rule = PivotRule(variant=args.rule, seed=args.seed)
     trace = run_flip(inst, tau0, rule, cap=args.cap)
     text = trace_to_text(trace)
@@ -109,9 +103,6 @@ def cmd_certify(args) -> int:
 def cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    if args.mode and args.mode != cfg.mode:
-        raise ModelError(
-            f"--mode {args.mode} conflicts with config mode {cfg.mode}")
     fields, rows = run_experiment(cfg)
     text = rows_to_csv(fields, rows)
     if args.out:
@@ -131,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run FLIP on an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--rule", default="best", choices=PIVOT_RULES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -155,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("experiment", help="batch campaign to CSV")
-    p.add_argument("--mode", default=None, choices=list(EXPERIMENTS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_experiment)

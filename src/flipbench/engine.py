@@ -58,9 +58,10 @@ class PivotRule:
 class Trace:
     """A validated move sequence with exact per-step improvements.
 
-    _matrices holds the trace's step matrix and combined matrices once
-    matrices.build_M / build_P have built them, keyed by "M" or the
-    combine mode; it is created on first use, so a run pays nothing.
+    _derived holds what derived() has built from the trace, once each:
+    the step matrix ("M"), the combined matrices (keyed by combine mode)
+    and the cyclic-block view ("cyclic"); it is created on first use, so
+    a run pays nothing.
     """
 
     instance: Instance
@@ -69,7 +70,7 @@ class Trace:
     step_cap_hit: bool = False
     rule: str = ""
     seed: int = 0
-    _matrices: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _derived: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.steps)
@@ -91,6 +92,14 @@ class Trace:
 
     def final_configuration(self) -> tuple:
         return self.configuration_at(len(self.steps))
+
+    def derived(self, key: str, build):
+        """The structure stored under key, built by build() on first use."""
+        if self._derived is None:
+            object.__setattr__(self, "_derived", {})
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 class _State:

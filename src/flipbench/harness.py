@@ -4,7 +4,9 @@ Every experiment is a pure function of its ExperimentConfig: per-trial
 seeds are derived from (master seed, cell, trial index), rationals are
 emitted as num/den, and rows are assembled in deterministic cell/trial
 order even when trials fan out across processes.  CSV is the only output
-format.
+format.  Every scaling, rank and approx trial runs through _flip_trial:
+one seed, one instance from the config's graph and p, and one start from
+model.random_configuration, the start `flipbench run` also takes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import hashlib
 import io
 import math
-import random
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +28,8 @@ from .certificates import (CERTIFICATE_MODES, certificate_mode, certify,
 from .engine import DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip, slice_trace
 from .generator import GRAPH_KINDS, SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank
-from .model import Instance, ModelError, cut_value, hamiltonian
+from .model import (Instance, ModelError, cut_value, hamiltonian,
+                    random_configuration)
 from .thresholds import Beta
 
 DEFAULT_ETA = 0.1
@@ -87,6 +90,8 @@ class ExperimentConfig:
                 raise HarnessError("approx mode requires n <= 12")
             if phi_num < phi_den:
                 raise HarnessError("nonnegative weights need phi >= 1 with centers at 1/2")
+            if self.graph != "complete":
+                raise HarnessError("approx mode requires graph complete")
 
 
 # config key -> converter from its value text; one entry per config field
@@ -168,21 +173,37 @@ def _fmt_float(x: float) -> str:
     return format(x, ".10g")
 
 
-def _trial_setup(cfg: ExperimentConfig, n: int, phi, trial: int):
-    sstr = derive_seed(cfg.seed, cfg.mode, n, phi, trial)
-    profile = SmoothingProfile(phi=Fraction(phi), seed=sstr)
+# --- one trial ---------------------------------------------------------------
+
+def _flip_trial(cfg: ExperimentConfig, n: int, phi, trial: int, centers=()):
+    """One trial of the smoothed model: (instance, trace).
+
+    The trial's seed, derived from (seed, mode, n, phi, trial), names the
+    instance's weights, the random start and the pivot rule's stream.
+    """
+    seed = derive_seed(cfg.seed, cfg.mode, n, phi, trial)
+    profile = SmoothingProfile(phi=Fraction(phi), seed=seed, centers=centers)
     inst = make_instance(cfg.graph, n, cfg.k, profile, p=cfg.p)
-    rng = random.Random(f"tau0:{sstr}")
-    tau0 = tuple(rng.randint(1, cfg.k) for _ in range(n))
-    return inst, tau0, sstr
+    tau0 = random_configuration(n, cfg.k, seed)
+    return inst, run_flip(inst, tau0, PivotRule(variant=cfg.rule, seed=seed), cap=cfg.cap)
+
+
+def _trials(cfg: ExperimentConfig, fn):
+    """fn((cfg, n, phi, trial)) over the config's grid, in grid order, fanned
+    out across cfg.jobs processes."""
+    tasks = [(cfg, n, phi, t) for n in cfg.n_grid for phi in cfg.phi_grid
+             for t in range(cfg.trials)]
+    if cfg.jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        return list(pool.map(fn, tasks))
 
 
 # --- scaling -----------------------------------------------------------------
 
 def _scaling_trial(args):
     cfg, n, phi, trial = args
-    inst, tau0, sstr = _trial_setup(cfg, n, phi, trial)
-    trace = run_flip(inst, tau0, PivotRule(variant=cfg.rule, seed=sstr), cap=cfg.cap)
+    inst, trace = _flip_trial(*args)
     h = hamiltonian(inst, trace.final_configuration())
     return {
         "row_type": "trial", "n": n, "k": cfg.k, "phi": _fmt_frac(phi),
@@ -193,9 +214,7 @@ def _scaling_trial(args):
 
 def exp_scaling(cfg: ExperimentConfig):
     """Step counts to termination per cell, with the theorem reference bound."""
-    tasks = [(cfg, n, phi, t) for n in cfg.n_grid for phi in cfg.phi_grid
-             for t in range(cfg.trials)]
-    rows = _fan_out(_scaling_trial, tasks, cfg.jobs)
+    rows = _trials(cfg, _scaling_trial)
     out = []
     i = 0
     for n in cfg.n_grid:
@@ -203,14 +222,12 @@ def exp_scaling(cfg: ExperimentConfig):
             cell = rows[i:i + cfg.trials]
             i += cfg.trials
             out.extend(cell)
-            steps = sorted(r["steps"] for r in cell)
-            mid = steps[len(steps) // 2] if len(steps) % 2 else \
-                (steps[len(steps) // 2 - 1] + steps[len(steps) // 2]) / 2
+            steps = [r["steps"] for r in cell]
             out.append({
                 "row_type": "summary", "n": n, "k": cfg.k, "phi": _fmt_frac(phi),
                 "trial": "", "steps": max(steps), "cap_hit": "",
                 "final_H": "", "trace_hash": "",
-                "median_steps": _fmt_float(float(mid)),
+                "median_steps": _fmt_float(float(statistics.median(steps))),
                 "bound": _fmt_float(theorem_bound(cfg.k, cfg.graph == "complete",
                                                   phi, n, cfg.eta)),
                 "eta": _fmt_float(cfg.eta),
@@ -229,8 +246,7 @@ def window_length(k: int, beta: Beta, n: int) -> int:
 
 def _rank_trial(args):
     cfg, n, phi, trial = args
-    inst, tau0, sstr = _trial_setup(cfg, n, phi, trial)
-    trace = run_flip(inst, tau0, PivotRule(variant=cfg.rule, seed=sstr), cap=cfg.cap)
+    inst, trace = _flip_trial(*args)
     w = window_length(cfg.k, cfg.beta, n)
     base = {
         "n": n, "k": cfg.k, "phi": _fmt_frac(phi), "trial": trial, "window": w,
@@ -257,9 +273,7 @@ def _rank_trial(args):
 
 
 def exp_rank_campaign(cfg: ExperimentConfig):
-    tasks = [(cfg, n, phi, t) for n in cfg.n_grid for phi in cfg.phi_grid
-             for t in range(cfg.trials)]
-    rows = _fan_out(_rank_trial, tasks, cfg.jobs)
+    rows = _trials(cfg, _rank_trial)
     fields = ["n", "k", "phi", "trial", "window", "status", "ell", "s", "c",
               "rank", "bound", "cert_arcs", "violation", "trace_hash", "eps"]
     return fields, rows
@@ -372,17 +386,11 @@ def brute_force_opt_num(inst: Instance) -> int:
 
 def _approx_trial(args):
     cfg, n, phi, trial = args
-    sstr = derive_seed(cfg.seed, "approx", n, phi, trial)
     # nonnegative weights: center every support interval at 1/2
-    profile = SmoothingProfile(phi=Fraction(phi), seed=sstr,
-                               centers=tuple([Fraction(1, 2)] * (n * (n - 1) // 2)))
-    inst = make_instance("complete", n, cfg.k, profile)
+    inst, trace = _flip_trial(*args, centers=(Fraction(1, 2),) * (n * (n - 1) // 2))
     if any(num < 0 for num in inst.weight_nums):
         raise HarnessError("nonnegative-weight profile produced a negative weight")
     opt_num = brute_force_opt_num(inst)
-    rng = random.Random(f"tau0:{sstr}")
-    tau0 = tuple(rng.randint(1, cfg.k) for _ in range(n))
-    trace = run_flip(inst, tau0, PivotRule(variant=cfg.rule, seed=sstr), cap=cfg.cap)
     local = cut_value(inst, trace.final_configuration())
     # (1 - 1/k) * OPT <= local, exactly
     ok = local * cfg.k * inst.denom >= (cfg.k - 1) * opt_num
@@ -393,23 +401,13 @@ def _approx_trial(args):
 
 def approx_check(cfg: ExperimentConfig):
     """Brute-force OPT against FLIP's local optimum; the config has checked
-    n <= 12 and phi >= 1."""
-    tasks = [(cfg, n, phi, t) for n in cfg.n_grid for phi in cfg.phi_grid
-             for t in range(cfg.trials)]
-    rows = _fan_out(_approx_trial, tasks, cfg.jobs)
+    n <= 12, phi >= 1 and a complete graph."""
+    rows = _trials(cfg, _approx_trial)
     fields = ["n", "k", "phi", "trial", "opt", "local", "steps", "ok"]
     return fields, rows
 
 
 # --- orchestration -----------------------------------------------------------
-
-def _fan_out(fn, tasks, jobs: int):
-    """Run trials, possibly across processes; order follows the task list."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
 
 # experiment mode -> campaign(cfg) -> (CSV fields, rows)
 EXPERIMENTS = {

@@ -78,15 +78,6 @@ def _from_cells(n_rows: int, n_cols: int, cols, rows, vals, labels) -> SignMatri
     return SignMatrix(n_rows=n_rows, ptr=ptr, rows=rows, vals=vals, col_labels=labels)
 
 
-def _memo(trace: Trace, key: str, build) -> SignMatrix:
-    """The trace's matrix under key, built by build() on first use."""
-    if trace._matrices is None:
-        object.__setattr__(trace, "_matrices", {})
-    if key not in trace._matrices:
-        trace._matrices[key] = build()
-    return trace._matrices[key]
-
-
 def build_M(trace: Trace) -> SignMatrix:
     """Step matrix of a trace; <column t, X> equals the step-t improvement.
 
@@ -94,7 +85,7 @@ def build_M(trace: Trace) -> SignMatrix:
     signs of step t's row, on the edges their ids name.  Built once per
     trace.
     """
-    return _memo(trace, "M", lambda: _step_matrix(trace))
+    return trace.derived("M", lambda: _step_matrix(trace))
 
 
 def _step_matrix(trace: Trace) -> SignMatrix:
@@ -136,7 +127,7 @@ def build_P(trace: Trace, mode: str, cycle_set: CycleSet | None = None) -> SignM
     if mode not in ("pairs", "cycles"):
         raise ModelError(f"unknown combine mode {mode!r}")
     if cycle_set is None:
-        return _memo(trace, mode, lambda: _build_P(trace, mode, None))
+        return trace.derived(mode, lambda: _build_P(trace, mode, None))
     return _build_P(trace, mode, cycle_set)
 
 

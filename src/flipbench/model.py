@@ -12,6 +12,7 @@ the +/-1 encoding is part 1 -> +1, part 2 -> -1.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -203,6 +204,13 @@ def parse_configuration(text: str) -> Configuration:
         return tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ModelError(f"non-integer part label in {text.strip()[:60]!r}") from None
+
+
+def random_configuration(n: int, k: int, seed) -> Configuration:
+    """The seeded random start: each vertex's part uniform on 1..k, drawn
+    in vertex order from a stream named by the seed."""
+    rng = random.Random(f"tau0:{seed}")
+    return tuple(rng.randint(1, k) for _ in range(n))
 
 
 # --- simplex frame -----------------------------------------------------------

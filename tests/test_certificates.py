@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import flipbench as fb
+from flipbench import certificates
 from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
@@ -131,6 +132,23 @@ def test_leaping_cycle_and_3cut_on_synthesized_blocks():
         assert bound >= -(-stats.s // 32)
         verdict = fb.validate_certificate(graph, sub)
         assert verdict.valid, verdict.reason
+
+
+def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
+    # the window arcs, their leaping cycles and the trickiness checks all
+    # read the one cyclic-block view kept on the trace
+    calls = []
+    real = certificates.cyclic_acyclic_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certificates, "cyclic_acyclic_blocks", counted)
+    for sub in synth_3cut_blocks():
+        calls.clear()
+        fb.build_3cut_certificate(sub, check_rank=False)
+        assert len(calls) == 1
 
 
 def test_leaping_cycle_argument_errors():

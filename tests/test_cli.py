@@ -25,6 +25,8 @@ def test_run_writes_trace(tmp_path, instance_file, capsys):
     assert code == 0
     trace = fb.trace_from_text(inst, out.read_text())
     assert len(trace) > 0 and all(d > 0 for d in trace.delta_nums)
+    # the start a campaign trial of seed 3 would take
+    assert trace.tau0 == random_tau0(inst.n, inst.k, 3)
     err = capsys.readouterr().err
     assert f"steps {len(trace)}" in err
 
@@ -120,8 +122,6 @@ def test_experiment_csv(tmp_path):
     assert main(["experiment", "--config", str(cfgp), "--out", str(outp)]) == 0
     text = outp.read_text()
     assert text.startswith("row_type,") and "summary" in text
-    # conflicting --mode exits with the model-error code
-    assert main(["experiment", "--mode", "mc", "--config", str(cfgp)]) == 2
 
 
 def test_bad_instance_file_exits_2(tmp_path, capsys):

@@ -205,6 +205,9 @@ def test_approx_mode_all_hold():
     with pytest.raises(fb.HarnessError):
         fb.approx_check(ExperimentConfig(mode="approx", n_grid=(6,),
                                          phi_grid=(Fraction(1, 2),)))
+    # a graph the brute force would not see is refused, not ignored
+    with pytest.raises(fb.HarnessError, match="approx mode requires graph complete"):
+        fb.parse_config("mode approx\nn_grid 7\ngraph gnp\np 0.1\n")
 
 
 def test_rank_campaign_rows_have_status():
@@ -269,9 +272,9 @@ def test_csv_is_deterministic():
 
 
 def test_jobs_fan_out_preserves_order():
-    cfg1 = ExperimentConfig(mode="scaling", n_grid=(8,),
-                            phi_grid=(Fraction(1),), k=2, trials=4, seed=6)
-    cfg2 = ExperimentConfig(mode="scaling", n_grid=(8,),
-                            phi_grid=(Fraction(1),), k=2, trials=4, seed=6,
-                            jobs=2)
-    assert fb.run_experiment(cfg1) == fb.run_experiment(cfg2)
+    # every mode's trials go through the one trial path, in or out of a pool
+    for mode, k in (("scaling", 2), ("rank", 4), ("approx", 3)):
+        cfg1 = ExperimentConfig(mode=mode, n_grid=(8,),
+                                phi_grid=(Fraction(1),), k=k, trials=4, seed=6)
+        cfg2 = dataclasses.replace(cfg1, jobs=2)
+        assert fb.run_experiment(cfg1) == fb.run_experiment(cfg2)
