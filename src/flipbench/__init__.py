@@ -5,8 +5,8 @@ matrices, rank certificates, and batch experiments.
 """
 
 from .model import (DEFAULT_DENOM, Instance, InvalidMoveError, ModelError,
-                    Move, SimplexFrame, apply_move, complete_edges, cut_value,
-                    hamiltonian, improving_moves, move_delta, simplex_vectors)
+                    Move, apply_move, complete_edges, cut_value, hamiltonian,
+                    improving_moves, move_delta)
 from .thresholds import Beta
 from .generator import SmoothingProfile, build_graph, make_instance
 from .engine import (PivotRule, ReplayError, Trace, replay, run_flip,

@@ -239,13 +239,26 @@ def slice_trace(trace: Trace, t1: int, t2: int) -> Trace:
 
 # --- trace files -------------------------------------------------------------
 
+def _read_rule(value: str) -> tuple:
+    rule, word, seed = value.split()
+    if word != "seed" or rule not in PIVOT_RULES + ("replay", "unknown"):
+        raise ValueError(value)
+    return rule, int(seed)
+
+
+# Each trace-file header, in written order: name -> (its value written
+# from a Trace, its value read back from the text after `# <name> `).
+TRACE_HEADERS = {
+    "instance": (lambda trace: trace.instance.content_hash(), str),
+    "rule": (lambda trace: f"{trace.rule or 'unknown'} seed {trace.seed}", _read_rule),
+    "cap_hit": (lambda trace: str(int(trace.step_cap_hit)),
+                {"0": False, "1": True}.__getitem__),
+    "tau0": (lambda trace: " ".join(map(str, trace.tau0)), parse_configuration),
+}
+
+
 def trace_to_text(trace: Trace) -> str:
-    lines = [
-        f"# instance {trace.instance.content_hash()}",
-        f"# rule {trace.rule or 'unknown'} seed {trace.seed}",
-        f"# cap_hit {int(trace.step_cap_hit)}",
-        "# tau0 " + " ".join(str(p) for p in trace.tau0),
-    ]
+    lines = [f"# {name} {write(trace)}" for name, (write, _) in TRACE_HEADERS.items()]
     for t, (move, dnum) in enumerate(trace.steps, start=1):
         lines.append(f"{t} {move.v} {move.p} {move.q} {dnum}")
     return "\n".join(lines) + "\n"
@@ -254,43 +267,34 @@ def trace_to_text(trace: Trace) -> str:
 def trace_from_text(inst: Instance, text: str) -> Trace:
     """Read a trace file against its instance.
 
-    Exactly one `# instance` header must name inst's content hash, exactly
-    one `# tau0` header gives the start configuration, records are
-    numbered 1..L in order, and the recorded steps must pass verify_trace;
-    otherwise ModelError.  The optional `# rule <r> seed <s>` and
-    `# cap_hit <0|1>` headers that trace_to_text writes are read back
-    (a file without them reads as an uncapped replay with seed 0); a
-    malformed or repeated one is a ModelError.
+    Each TRACE_HEADERS line `# <name> <value>` may appear at most once,
+    and a value its reader rejects is a ModelError; `# instance` must name
+    inst's content hash, and `# tau0` gives the start configuration.
+    Both are required; a file without `# rule` and `# cap_hit` reads as
+    an uncapped replay with seed 0.  Any other `#` line is a comment.
+    Records are numbered 1..L in order, and the recorded steps must pass
+    verify_trace; otherwise ModelError.
     """
-    tau0 = None
-    named = False
-    rule = cap_hit = None
+    header = {}
     steps = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         if ln.startswith("#"):
-            if ln.startswith("# rule "):
-                if rule is not None:
-                    raise ModelError("trace file repeats its rule header")
-                rule = _parse_rule_header(ln)
-            elif ln.startswith("# cap_hit "):
-                if cap_hit is not None:
-                    raise ModelError("trace file repeats its cap_hit header")
-                if ln not in ("# cap_hit 0", "# cap_hit 1"):
-                    raise ModelError(f"malformed cap_hit header: {ln!r}")
-                cap_hit = ln.endswith("1")
-            elif ln.startswith("# tau0 "):
-                if tau0 is not None:
-                    raise ModelError("trace file repeats its tau0 header")
-                tau0 = parse_configuration(ln[len("# tau0 "):])
-            elif ln.startswith("# instance "):
-                if named:
-                    raise ModelError("trace file repeats its instance header")
-                if ln.removeprefix("# instance ") != inst.content_hash():
-                    raise ModelError(f"{ln!r} does not name instance {inst.content_hash()}")
-                named = True
+            name, space, value = ln.removeprefix("# ").partition(" ")
+            if not space or name not in TRACE_HEADERS:
+                continue
+            if name in header:
+                raise ModelError(f"trace file repeats its {name} header")
+            try:
+                header[name] = TRACE_HEADERS[name][1](value)
+            except ModelError:
+                raise
+            except (ValueError, KeyError):
+                raise ModelError(f"malformed {name} header: {ln!r}") from None
+            if name == "instance" and value != inst.content_hash():
+                raise ModelError(f"{ln!r} does not name instance {inst.content_hash()}")
             continue
         try:
             t, v, p, q, dnum = map(int, ln.split())
@@ -299,27 +303,15 @@ def trace_from_text(inst: Instance, text: str) -> Trace:
         if t != len(steps) + 1:
             raise ModelError(f"trace record {ln!r} is numbered {t}, expected {len(steps) + 1}")
         steps.append((Move(v, p, q), dnum))
-    if not named:
-        raise ModelError("trace file missing instance header")
-    if tau0 is None:
-        raise ModelError("trace file missing tau0 header")
-    variant, seed = rule or ("replay", 0)
-    trace = Trace(instance=inst, tau0=tau0, steps=tuple(steps),
-                  step_cap_hit=bool(cap_hit), rule=variant, seed=seed)
+    header = {"rule": ("replay", 0), "cap_hit": False, **header}
+    for name in TRACE_HEADERS:
+        if name not in header:
+            raise ModelError(f"trace file missing {name} header")
+    variant, seed = header["rule"]
+    trace = Trace(instance=inst, tau0=header["tau0"], steps=tuple(steps),
+                  step_cap_hit=header["cap_hit"], rule=variant, seed=seed)
     verify_trace(trace)
     return trace
-
-
-def _parse_rule_header(ln: str) -> tuple:
-    """(rule, seed) from `# rule <r> seed <s>`, as trace_to_text writes it."""
-    words = ln.split()
-    if (len(words) != 5 or words[3] != "seed"
-            or words[2] not in PIVOT_RULES + ("replay", "unknown")):
-        raise ModelError(f"malformed rule header: {ln!r}")
-    try:
-        return words[2], int(words[4])
-    except ValueError:
-        raise ModelError(f"malformed rule header: {ln!r}") from None
 
 
 def verify_trace(trace: Trace) -> None:

@@ -154,14 +154,18 @@ def theorem_bound(k: int, complete: bool, phi, n: int, eta: float = DEFAULT_ETA)
     k=2 complete: 1580 * phi * n^((2+sqrt2)(sqrt2+eta));
     k=3 complete: phi * n^(99+eta) (constant suppressed);
     otherwise:    phi * n^(2(2k-1)k*lg(kn)+3+eta) (constant suppressed).
+    A power past float range reads math.inf.
     """
     phi = float(phi)
-    if k == 2 and complete:
-        return 1580.0 * phi * n ** ((2 + math.sqrt(2)) * (math.sqrt(2) + eta))
-    if k == 3 and complete:
-        return phi * float(n) ** (99 + eta)
-    exponent = 2 * (2 * k - 1) * k * math.log2(k * n) + 3 + eta
-    return phi * float(n) ** exponent
+    try:
+        if k == 2 and complete:
+            return 1580.0 * phi * n ** ((2 + math.sqrt(2)) * (math.sqrt(2) + eta))
+        if k == 3 and complete:
+            return phi * float(n) ** (99 + eta)
+        exponent = 2 * (2 * k - 1) * k * math.log2(k * n) + 3 + eta
+        return phi * float(n) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -225,8 +229,7 @@ def exp_scaling(cfg: ExperimentConfig):
             steps = [r["steps"] for r in cell]
             out.append({
                 "row_type": "summary", "n": n, "k": cfg.k, "phi": _fmt_frac(phi),
-                "trial": "", "steps": max(steps), "cap_hit": "",
-                "final_H": "", "trace_hash": "",
+                "steps": max(steps),
                 "median_steps": _fmt_float(float(statistics.median(steps))),
                 "bound": _fmt_float(theorem_bound(cfg.k, cfg.graph == "complete",
                                                   phi, n, cfg.eta)),
@@ -254,8 +257,7 @@ def _rank_trial(args):
         "eps": _fmt_float(epsilon_bound(cfg.beta, phi, n, cfg.eta)),
     }
     if len(trace) < w:
-        return {**base, "status": "skip", "ell": len(trace), "s": "", "c": "",
-                "rank": "", "bound": "", "cert_arcs": "", "violation": ""}
+        return {**base, "status": "skip", "ell": len(trace)}
     mode = certificate_mode(cfg.k)
     block = CERTIFICATE_MODES[mode].block(trace.moves[:w], cfg.beta)
     sub = slice_trace(trace, block.t1, block.t2)

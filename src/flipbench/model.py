@@ -213,35 +213,6 @@ def random_configuration(n: int, k: int, seed) -> Configuration:
     return tuple(rng.randint(1, k) for _ in range(n))
 
 
-# --- simplex frame -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplexFrame:
-    """Unit vectors pointing at the corners of an equilateral simplex.
-
-    Coordinates are kept rational (k coordinates spanning a (k-1)-dim
-    subspace) together with the exact squared norm, so the Gram matrix
-    of the normalized vectors is exactly 1 on the diagonal and
-    -1/(k-1) off it.
-    """
-
-    k: int
-    vectors: tuple       # k tuples of k Fractions each
-    norm_sq: Fraction    # squared length of each raw vector
-
-
-def simplex_vectors(k: int) -> SimplexFrame:
-    """Frame sigma(1..k) with <s_i,s_i> = 1 and <s_i,s_j> = -1/(k-1)."""
-    if k < 2:
-        raise ModelError("simplex frame needs k >= 2")
-    centroid = Fraction(1, k)
-    vectors = tuple(
-        tuple((Fraction(1) if j == i else Fraction(0)) - centroid for j in range(k))
-        for i in range(k)
-    )
-    return SimplexFrame(k=k, vectors=vectors, norm_sq=Fraction(k - 1, k))
-
-
 # --- objective ---------------------------------------------------------------
 
 def cut_value(inst: Instance, tau: Sequence[int]) -> Fraction:
@@ -255,8 +226,9 @@ def cut_value(inst: Instance, tau: Sequence[int]) -> Fraction:
 def hamiltonian(inst: Instance, tau: Sequence[int]) -> Fraction:
     """Potential H(tau) = cut_value(tau) - (k-1)/k * total edge weight.
 
-    Equals -((k-1)/k) * sum_e X_e <sigma(tau(u)), sigma(tau(v))> with the
-    simplex frame; crossing edges contribute X_e/k, non-crossing ones
+    Equals -((k-1)/k) * sum_e X_e <sigma(tau(u)), sigma(tau(v))> for the
+    paper's simplex corners, whose inner product is 1 for equal parts and
+    -1/(k-1) otherwise; crossing edges contribute X_e/k, non-crossing ones
     -(k-1)/k * X_e.  Evaluated via the crossing form, which is exact and
     cheap.
     """

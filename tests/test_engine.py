@@ -263,6 +263,7 @@ def test_trace_text_roundtrips_rule_seed_and_cap():
                          fb.PivotRule(variant="random", seed=5), cap=2)
     assert capped.step_cap_hit
     text = fb.trace_to_text(capped)
+    assert [ln.split()[1] for ln in text.splitlines()[:4]] == list(fb.engine.TRACE_HEADERS)
     back = fb.trace_from_text(inst, text)
     assert (back.step_cap_hit, back.rule, back.seed) == (True, "random", 5)
     assert back.steps == capped.steps and fb.trace_to_text(back) == text
@@ -314,6 +315,11 @@ def test_trace_text_requires_one_tau0_header():
     for bad in (text + other, other + text):
         with pytest.raises(fb.ModelError, match="repeats its tau0 header"):
             fb.trace_from_text(trace.instance, bad)
+    # every header, repeated with its own line before or after the text
+    for name, line in zip(fb.engine.TRACE_HEADERS, text.splitlines(keepends=True)):
+        for bad in (text + line, line + text):
+            with pytest.raises(fb.ModelError, match=f"repeats its {name} header"):
+                fb.trace_from_text(trace.instance, bad)
 
 
 def test_trace_text_records_are_numbered_in_order():

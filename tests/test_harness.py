@@ -124,6 +124,17 @@ def test_theorem_bound_regimes():
         8.0 ** (2 * 5 * 3 * math.log2(24) + 3 + 0.1))
 
 
+def test_theorem_bound_past_float_range():
+    # the first n whose power leaves float range, at k=4 and k=5 complete
+    assert fb.theorem_bound(4, True, 1, 11) == math.inf
+    assert fb.theorem_bound(5, True, 1, 6) == math.inf
+    assert math.isfinite(fb.theorem_bound(4, True, 1, 10))
+    assert math.isfinite(fb.theorem_bound(5, True, 1, 5))
+    cfg = fb.parse_config("mode scaling\nn_grid 16\nk 4\ntrials 1\nseed 1\n")
+    summary = fb.rows_to_csv(*fb.run_experiment(cfg)).splitlines()[-1]
+    assert summary.startswith("summary,") and summary.split(",")[10] == "inf"
+
+
 def _least(holds):
     return next(t for t in itertools.count() if holds(t))
 

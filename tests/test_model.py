@@ -30,34 +30,19 @@ def test_delta_matches_hamiltonian_difference():
         assert d == fb.cut_value(inst, tau2) - fb.cut_value(inst, tau)
 
 
-def _gram(frame):
-    """Inner products of the normalised frame vectors."""
-    return [[sum(a * b for a, b in zip(x, y)) / frame.norm_sq for y in frame.vectors]
-            for x in frame.vectors]
-
-
 def test_hamiltonian_via_simplex_frame():
-    # H(tau) = -((k-1)/k) * sum_e w_e <sigma(tau_u), sigma(tau_v)>
+    # H(tau) = -((k-1)/k) * sum_e w_e <sigma(tau_u), sigma(tau_v)>, where the
+    # simplex frame's Gram matrix is 1 on equal parts and -1/(k-1) otherwise
     for seed in range(5):
         rng = random.Random(f"sf:{seed}")
         n, k = rng.randint(3, 8), rng.choice([2, 3, 4])
         inst = smoothed_instance(n, k, seed)
         tau = random_tau0(n, k, seed)
-        frame = fb.simplex_vectors(k)
-        gram = _gram(frame)
         total = Fraction(0)
         for (u, v), num in zip(inst.edges, inst.weight_nums):
-            total += Fraction(num, inst.denom) * gram[tau[u] - 1][tau[v] - 1]
+            gram = Fraction(1) if tau[u] == tau[v] else Fraction(-1, k - 1)
+            total += Fraction(num, inst.denom) * gram
         assert fb.hamiltonian(inst, tau) == -Fraction(k - 1, k) * total
-
-
-def test_simplex_frame_gram():
-    for k in (2, 3, 4, 7):
-        gram = _gram(fb.simplex_vectors(k))
-        for i in range(k):
-            for j in range(k):
-                want = Fraction(1) if i == j else Fraction(-1, k - 1)
-                assert gram[i][j] == want
 
 
 def test_improving_moves_brute_force():

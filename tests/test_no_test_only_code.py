@@ -16,8 +16,8 @@ PACKAGE = ROOT / "src" / "flipbench"
 
 # kept although only tests and acceptance criteria call them
 ALLOWED = {
-    # test references: the brute-force improving set and the simplex frame
-    "improving_moves", "simplex_vectors",
+    # test reference: the brute-force improving set
+    "improving_moves",
     # named by acceptance criteria 1, 2 and 6
     "move_delta", "apply_move", "weighted_column_sums", "find_alpha_cyclic_block",
     # the paper's good-arc definition, checked against certificate witnesses
