@@ -3,18 +3,34 @@
 The smoothing density is uniform on an interval of length 1/phi centered
 at c_e, so the density equals phi on its support (the extremal case).
 Weights are drawn on the fixed-point grid {.../D} so everything downstream
-stays exact.  Each edge weight is a pure function of (seed, edge index):
-sampling is reproducible and order-independent.
+stays exact.  Each draw is a pure function of (seed, index), so sampling
+is reproducible and order-independent.  The sampling rule:
+
+- edge i of a profile with seed s and grid {lo..hi} weighs
+  random.Random(f"w:{s}:{i}").randint(lo, hi) / D;
+- G(n, p) keeps pair i, in complete_edges order, when
+  random.Random(f"gnp:{s}:{i}").random() < p.
+
+`_mt_words` evaluates exactly this rule for many indices at once: it
+replays CPython's string seeding and Mersenne Twister in numpy for every
+seed of a batch.  The stdlib expression remains the definition, and it
+computes every draw the batch does not reach.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import DEFAULT_DENOM, Instance, ModelError, complete_edges
+
+# the sha512 random.seed itself uses: cheaper than hashlib's on short input
+_sha512 = getattr(random, "_sha512", hashlib.sha512)
 
 
 class GeneratorError(ModelError):
@@ -51,6 +67,109 @@ class SmoothingProfile:
         return c - half, c + half
 
 
+# --- the stdlib's per-index streams, many seeds at once ----------------------
+
+_N, _M = 624, 397  # MT19937 state size and twist offset
+_WORDS = 8         # outputs per seed; randint's rejection tail past them uses the stdlib
+_MIN_BATCH = 512   # a batch costs ~7.5k ufunc calls at any size: smaller groups use the stdlib
+_MAX_BATCH = 8192
+_INIT = [19650218]  # init_genrand(19650218), where init_by_array starts
+while len(_INIT) < _N:
+    _INIT.append((1812433253 * (_INIT[-1] ^ (_INIT[-1] >> 30)) + len(_INIT)) & 0xFFFFFFFF)
+# 0-d arrays: the scalar operand numpy's ufuncs take fastest
+_INIT = [np.array(x, np.uint32) for x in _INIT]
+_POS = [np.array(i, np.uint32) for i in range(_N)]
+
+
+def _mt_outputs(key, count):
+    """First `count` outputs of CPython's MT19937 after init_by_array(key),
+    for every row of the (c, key words) uint32 array `key`.
+
+    init_by_array's first loop writes positions 1..623, with key word
+    j = 0, 1, ... cycling, then position 1 again; its second loop writes
+    2..623, then 1.  Run the first loop once to learn position 623, then
+    replay it in lockstep with the second, keeping only the positions the
+    first twist reads: memory is O(c), not O(624 c).
+    """
+    c, n_words = key.shape
+    kj = list(np.ascontiguousarray((key + np.arange(n_words, dtype=np.uint32)).T))
+    s, t, mult = (np.empty((2, c), np.uint32) for _ in range(3))
+    mult[0], mult[1] = 1664525, 1566083941  # the two loops' multipliers
+    (s0, s1), (t0, t1) = s, t
+    low, high = np.empty((count + 1, c), np.uint32), np.empty((count, c), np.uint32)
+
+    def mix(v, out, m):  # out = (v ^ (v >> 30)) * m
+        np.right_shift(v, _POS[30], out=out)
+        np.bitwise_xor(out, v, out=out)
+        np.multiply(out, m, out=out)
+
+    def first_loop(i):  # s0 = (init[i] ^ t0) + key[j] + j
+        np.bitwise_xor(t0, _INIT[i], out=t0)
+        np.add(t0, kj[(i - 1) % n_words], out=s0)
+
+    s0[:] = _INIT[0]
+    for i in range(1, _N):
+        mix(s0, t0, mult[0])
+        first_loop(i)
+    mix(s0, t1, mult[0])
+    s0[:] = _INIT[0]
+    mix(s0, t0, mult[0])
+    first_loop(1)
+    one = np.add(t1 ^ s0, kj[(_N - 1) % n_words])  # position 1, revisited
+    s1[:] = one
+    for i in range(2, _N):
+        mix(s, t, mult)
+        first_loop(i)
+        np.bitwise_xor(t1, s0, out=t1)
+        np.subtract(t1, _POS[i], out=s1)  # second loop: (mt[i] ^ t1) - i
+        if i <= count:
+            low[i] = s1
+        elif _M <= i < _M + count:
+            high[i - _M] = s1
+    mix(s1, t1, mult[1])
+    low[0], low[1] = 0x80000000, (t1 ^ one) - _POS[1]
+    y = (low[:-1] & np.uint32(0x80000000)) | (low[1:] & np.uint32(0x7FFFFFFF))
+    y = high ^ (y >> 1) ^ ((y & np.uint32(1)) * np.uint32(0x9908B0DF))  # the twist
+    y ^= y >> 11
+    y ^= (y << 7) & np.uint32(0x9D2C5680)
+    y ^= (y << 15) & np.uint32(0xEFC60000)
+    return (y ^ (y >> 18)).T
+
+
+def _mt_words(prefix: str, m: int, count: int):
+    """(words, done): words[i] holds the first `count` getrandbits(32) of
+    random.Random(f"{prefix}{i}") for every i < m with done[i].  Seeds in
+    key-length groups under _MIN_BATCH are left to the stdlib."""
+    if not 0 < count <= _N - _M:
+        raise ValueError(f"count {count} outside the first twist")
+    words, done = np.zeros((m, count), np.uint32), np.zeros(m, bool)
+    ranges: list = []  # [key words, start, stop]: index ranges of one key length
+    for d in range(1, len(str(max(m - 1, 0))) + 1):
+        start, stop = (10 ** (d - 1) if d > 1 else 0), min(10 ** d, m)
+        # seed(str) reads the bytes and their sha512 as one big-endian int.
+        # Seeds of one byte length share the prefix, so they share its bit length.
+        b = f"{prefix}{start}".encode()
+        n_words = (int.from_bytes(b + _sha512(b).digest(), "big").bit_length() + 31) // 32
+        if ranges and ranges[-1][0] == n_words:
+            ranges[-1][2] = stop
+        else:
+            ranges.append([n_words, start, stop])
+    for n_words, start, stop in ranges:
+        if stop - start < _MIN_BATCH or n_words > _N:
+            continue
+        batches = -(-(stop - start) // _MAX_BATCH)
+        size = -(-(stop - start) // batches)  # even batches of at most _MAX_BATCH
+        for lo in range(start, stop, size):
+            hi = min(lo + size, stop)
+            blobs = (f"{prefix}{i}".encode() for i in range(lo, hi))
+            # init_by_array's key: that int's little-endian 32-bit words
+            key = b"".join([(b + _sha512(b).digest())[::-1][:4 * n_words]
+                            .ljust(4 * n_words, b"\0") for b in blobs])
+            words[lo:hi] = _mt_outputs(np.frombuffer(key, "<u4").reshape(hi - lo, n_words), count)
+            done[lo:hi] = True
+    return words, done
+
+
 GRAPH_KINDS = ("complete", "gnp")
 
 
@@ -68,12 +187,13 @@ def build_graph(kind: str, n: int, p: float | None = None, seed: int = 0):
         return complete_edges(n)
     if p is None or not 0 <= p <= 1:
         raise GeneratorError("gnp requires p in [0,1]")
-    out = []
-    for idx, (u, v) in enumerate(complete_edges(n)):
-        rng = random.Random(f"gnp:{seed}:{idx}")
-        if rng.random() < p:
-            out.append((u, v))
-    return tuple(out)
+    pairs = complete_edges(n)
+    words, done = _mt_words(f"gnp:{seed}:", len(pairs), 2)
+    # random() is (a * 2**26 + b) / 2**53 from the top 27 and 26 bits of two words
+    x = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
+    keep, done = (x < p).tolist(), done.tolist()
+    return tuple(e for i, e in enumerate(pairs)
+                 if (keep[i] if done[i] else random.Random(f"gnp:{seed}:{i}").random() < p))
 
 
 def grid_bounds(profile: SmoothingProfile, i: int, denom: int):
@@ -86,14 +206,27 @@ def grid_bounds(profile: SmoothingProfile, i: int, denom: int):
 
 def sample_weights(edges, profile: SmoothingProfile, denom: int = DEFAULT_DENOM):
     """Weight numerators, each uniform on its grid and keyed by (seed, edge
-    index); the grid bounds are computed once per distinct centre."""
+    index); the grid bounds are computed once per distinct centre, and the
+    edges of one grid are drawn together."""
     bounds: dict = {}
-    nums = []
+    grids: dict = {}  # (lo, hi) -> edge indices
     for i in range(len(edges)):
         c = profile.centers[i] if profile.centers else 0
         if c not in bounds:
             bounds[c] = grid_bounds(profile, i, denom)
-        nums.append(random.Random(f"w:{profile.seed}:{i}").randint(*bounds[c]))
+        grids.setdefault(bounds[c], []).append(i)
+    words, done = _mt_words(f"w:{profile.seed}:", len(edges), _WORDS)
+    nums = [None] * len(edges)
+    for (lo, hi), idx in grids.items():
+        width = hi - lo + 1
+        if 1 <= width < 2 ** 32:  # randint's getrandbits(k) is the top k bits of one word
+            r = words[idx] >> (32 - width.bit_length())
+            r = r[np.arange(len(idx)), (r < width).argmax(axis=1)]  # _randbelow redraws r >= width
+            for i, v, ok in zip(idx, r.tolist(), ((r < width) & done[idx]).tolist()):
+                nums[i] = lo + v if ok else None
+        for i in idx:
+            if nums[i] is None:
+                nums[i] = random.Random(f"w:{profile.seed}:{i}").randint(lo, hi)
     return tuple(nums)
 
 

@@ -141,11 +141,17 @@ def derive_seed(master: int, *parts) -> int:
 
 
 def epsilon_bound(beta: Beta, phi, n: int, eta: float = DEFAULT_ETA) -> float:
-    """Slowness threshold: e^(-2(1+2b)/b) / (phi * n^((1+2b+2b^2)/b + eta(1+2b)/b))."""
+    """Slowness threshold: e^(-2(1+2b)/b) / (phi * n^((1+2b+2b^2)/b + eta(1+2b)/b)).
+
+    A power past float range reads 0.0.
+    """
     b = float(beta)
     exp_const = math.exp(-2 * (1 + 2 * b) / b)
     exponent = (1 + 2 * b + 2 * b * b) / b + eta * (1 + 2 * b) / b
-    return exp_const / (float(phi) * n ** exponent)
+    try:
+        return exp_const / (float(phi) * n ** exponent)
+    except OverflowError:
+        return 0.0
 
 
 def theorem_bound(k: int, complete: bool, phi, n: int, eta: float = DEFAULT_ETA) -> float:

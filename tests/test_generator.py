@@ -1,11 +1,15 @@
 """Smoothed weight sampling: determinism, support bounds, validation."""
 
 import hashlib
+import math
+import random
+import types
 from fractions import Fraction
 
 import pytest
 
 import flipbench as fb
+from flipbench import generator
 from flipbench.generator import (GeneratorError, build_graph, grid_bounds,
                                  sample_weights)
 
@@ -54,10 +58,13 @@ def _centres(kind, m):
     (16, Fraction(2), 9, "half", 2 ** 20, "eb1c1ed3df9275bb"),
     (9, Fraction(7, 3), 4, "mixed", 2 ** 20, "26e1f3bf07d786a0"),
     (10, Fraction(1), 3, "zero", 2 ** 10, "fd360c762ec16c57"),
+    (150, Fraction(1), 11, "zero", 2 ** 20, "aa89cc2f3f59e850"),
+    (150, Fraction(2), 123456, "half", 2 ** 20, "1b6605fe431d96f2"),
 ])
 def test_sample_weights_are_pinned(n, phi, seed, kind, denom, digest):
-    # digests recorded before the grid bounds were cached per centre: the
-    # same (seed, edge index) must keep its weight
+    # digests recorded before the grid bounds were cached per centre, the
+    # n=150 ones before the batch draws: the same (seed, edge index) must
+    # keep its weight
     edges = fb.complete_edges(n)
     prof = fb.SmoothingProfile(phi=phi, seed=seed, centers=_centres(kind, len(edges)))
     nums = sample_weights(edges, prof, denom)
@@ -83,6 +90,65 @@ def test_build_graph_kinds():
         build_graph("gnp", 4, p=2.0)
     with pytest.raises(GeneratorError):
         build_graph("mystery", 4)
+
+
+@pytest.mark.parametrize("seed, digest", [(0, "c74711bd80c38af8"), (5, "436c997cd258e78f")])
+def test_gnp_is_pinned(seed, digest):
+    # recorded before the batch draws: 7140 pairs, most of them batched
+    edges = build_graph("gnp", 120, p=0.25, seed=seed)
+    assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == digest
+
+
+def _stdlib_weights(m, prof, denom):
+    bounds = {}
+    for i in range(m):
+        if prof.center(i) not in bounds:
+            bounds[prof.center(i)] = grid_bounds(prof, i, denom)
+    return tuple(random.Random(f"w:{prof.seed}:{i}").randint(*bounds[prof.center(i)])
+                 for i in range(m))
+
+
+@pytest.mark.parametrize("seed, grids", [
+    (7, [(Fraction(1, 2), 2 ** 10, "zero"), (Fraction(7, 3), 2 ** 40, "zero")]),
+    (123456, [(Fraction(1), 2 ** 20, "zero"), (Fraction(2), 2 ** 20, "mixed")]),
+    (987654321012345, [(Fraction(3), 2 ** 31, "zero"), (Fraction(2), 2 ** 20, "half")]),
+])
+def test_batched_draws_match_the_stdlib(seed, grids):
+    # seeds of 1, 6 and 15 digits; n=150 crosses the i = 10, 100, 1000 and
+    # 10000 key-length boundaries; a 2**40 grid needs more than one word per
+    # draw, so it takes the stdlib
+    edges = fb.complete_edges(150)
+    m = len(edges)
+    assert generator._mt_words(f"w:{seed}:", m, 8)[1].sum() > 10000
+    for phi, denom, kind in grids:
+        prof = fb.SmoothingProfile(phi=phi, seed=seed, centers=_centres(kind, m))
+        assert sample_weights(edges, prof, denom) == _stdlib_weights(m, prof, denom)
+    coins = [random.Random(f"gnp:{seed}:{i}").random() for i in range(m)]
+    # p on either side of one coin: a coin off by one ulp changes the graph
+    for p in (0, 0.1, 0.5, 1, coins[m // 2], math.nextafter(coins[m // 2], 1)):
+        assert build_graph("gnp", 150, p=p, seed=seed) == tuple(
+            e for e, coin in zip(edges, coins) if coin < p)
+
+
+def test_rejection_tail_takes_the_stdlib(monkeypatch):
+    # with one word per seed, randint's redraw after a rejected word (about
+    # half the draws on a 2**20 + 1 grid) comes from the stdlib expression
+    edges = fb.complete_edges(64)
+    prof = fb.SmoothingProfile(phi=Fraction(1), seed=3)
+    expected = _stdlib_weights(len(edges), prof, fb.DEFAULT_DENOM)
+    seeded = []
+
+    class Recording(random.Random):
+        def __init__(self, x):
+            seeded.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(generator, "random", types.SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(generator, "_WORDS", 1)
+    assert sample_weights(edges, prof) == expected
+    assert 0 < len(seeded) < len(edges)
+    with pytest.raises(ValueError):  # past the first twist's 227 words
+        generator._mt_words("w:3:", len(edges), 228)
 
 
 def test_make_instance():

@@ -115,6 +115,15 @@ def test_epsilon_bound_shrinks_with_n_and_phi():
     assert fb.epsilon_bound(beta, 2, 16) == pytest.approx(e1 / 2)
 
 
+@pytest.mark.parametrize("beta", ["1000", "1/1000"])
+def test_epsilon_bound_past_float_range(beta):
+    # n^exponent passes float range at n=16 for both betas: eps reads 0
+    cfg = fb.parse_config(f"mode rank\nn_grid 16\nk 2\ntrials 1\nbeta {beta}\n")
+    assert fb.epsilon_bound(cfg.beta, 1, 16) == 0.0
+    _, rows = fb.run_experiment(cfg)
+    assert [row["eps"] for row in rows] == ["0"]
+
+
 def test_theorem_bound_regimes():
     assert fb.theorem_bound(2, True, 1, 16) == pytest.approx(
         1580 * 16 ** ((2 + math.sqrt(2)) * (math.sqrt(2) + 0.1)))
