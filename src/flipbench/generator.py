@@ -13,8 +13,9 @@ is reproducible and order-independent.  The sampling rule:
 
 `_mt_words` evaluates exactly this rule for many indices at once: it
 replays CPython's string seeding and Mersenne Twister in numpy for every
-seed of a batch.  The stdlib expression remains the definition, and it
-computes every draw the batch does not reach.
+seed of a batch of up to 8192 indices of any key length.  The stdlib
+expression remains the definition, and it computes every draw the batch
+does not reach, all of them when there are fewer than 512 indices.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -71,7 +73,7 @@ class SmoothingProfile:
 
 _N, _M = 624, 397  # MT19937 state size and twist offset
 _WORDS = 8         # outputs per seed; randint's rejection tail past them uses the stdlib
-_MIN_BATCH = 512   # a batch costs ~7.5k ufunc calls at any size: smaller groups use the stdlib
+_MIN_BATCH = 512   # a batch costs ~8k ufunc calls at any size: fewer indices use the stdlib
 _MAX_BATCH = 8192
 _INIT = [19650218]  # init_genrand(19650218), where init_by_array starts
 while len(_INIT) < _N:
@@ -81,31 +83,36 @@ _INIT = [np.array(x, np.uint32) for x in _INIT]
 _POS = [np.array(i, np.uint32) for i in range(_N)]
 
 
-def _mt_outputs(key, count):
+def _mt_outputs(key, spans, count):
     """First `count` outputs of CPython's MT19937 after init_by_array(key),
-    for every row of the (c, key words) uint32 array `key`.
+    for every row of the (c, words) uint32 array `key`.  `spans` holds
+    (n_words, start, stop): rows start..stop-1 have keys of n_words words.
 
     init_by_array's first loop writes positions 1..623, with key word
     j = 0, 1, ... cycling, then position 1 again; its second loop writes
     2..623, then 1.  Run the first loop once to learn position 623, then
     replay it in lockstep with the second, keeping only the positions the
-    first twist reads: memory is O(c), not O(624 c).
+    first twist reads: memory is O(c), not O(624 c).  Every step runs on
+    the whole batch but the key add, which runs once per key length.
     """
-    c, n_words = key.shape
-    kj = list(np.ascontiguousarray((key + np.arange(n_words, dtype=np.uint32)).T))
+    c = len(key)
     s, t, mult = (np.empty((2, c), np.uint32) for _ in range(3))
     mult[0], mult[1] = 1664525, 1566083941  # the two loops' multipliers
     (s0, s1), (t0, t1) = s, t
     low, high = np.empty((count + 1, c), np.uint32), np.empty((count, c), np.uint32)
+    # (rows, their t0, their s0, key word j + j for each j)
+    segments = [(slice(a, b), t0[a:b], s0[a:b], list(np.ascontiguousarray(
+        (key[a:b, :w] + np.arange(w, dtype=np.uint32)).T))) for w, a, b in spans]
 
     def mix(v, out, m):  # out = (v ^ (v >> 30)) * m
         np.right_shift(v, _POS[30], out=out)
         np.bitwise_xor(out, v, out=out)
         np.multiply(out, m, out=out)
 
-    def first_loop(i):  # s0 = (init[i] ^ t0) + key[j] + j
+    def first_loop(i):  # s0 = (init[i] ^ t0) + key[j] + j, j = (i - 1) mod key words
         np.bitwise_xor(t0, _INIT[i], out=t0)
-        np.add(t0, kj[(i - 1) % n_words], out=s0)
+        for _, t0_rows, s0_rows, kj in segments:
+            np.add(t0_rows, kj[(i - 1) % len(kj)], out=s0_rows)
 
     s0[:] = _INIT[0]
     for i in range(1, _N):
@@ -115,7 +122,9 @@ def _mt_outputs(key, count):
     s0[:] = _INIT[0]
     mix(s0, t0, mult[0])
     first_loop(1)
-    one = np.add(t1 ^ s0, kj[(_N - 1) % n_words])  # position 1, revisited
+    one = t1 ^ s0  # position 1, revisited
+    for rows, _, _, kj in segments:
+        one[rows] += kj[(_N - 1) % len(kj)]
     s1[:] = one
     for i in range(2, _N):
         mix(s, t, mult)
@@ -136,37 +145,61 @@ def _mt_outputs(key, count):
     return (y ^ (y >> 18)).T
 
 
+def _mt_keys(prefix: bytes, lo: int, hi: int, digits):
+    """(key, spans): init_by_array's keys for the seeds f"{prefix}{i}",
+    lo <= i < hi, as _mt_outputs reads them.  seed(str) reads the bytes
+    and their sha512 as one big-endian int, and the key is its 32-bit
+    words, little-endian: the digest, the decimal digits and the prefix,
+    each reversed, then zeros.  `digits` holds (digit count, start, stop,
+    key words) for the index ranges."""
+    seed = prefix.replace(b"%", b"%%") + b"%d"
+    digests = b"".join([_sha512(seed % i).digest() for i in range(lo, hi)])
+    # whole words for the longest seed's bytes; past a key's own words lie only zeros
+    buf = np.zeros((hi - lo, -(-(64 + digits[-1][0] + len(prefix)) // 4) * 4), np.uint8)
+    buf[:, :64] = np.frombuffer(digests, np.uint8).reshape(-1, 64)[:, ::-1]
+    index = np.arange(lo, hi)
+    spans = []  # [key words, start, stop]
+    for d, start, stop, n_words in digits:
+        start, stop = max(start, lo) - lo, min(stop, hi) - lo
+        if start >= stop:
+            continue
+        for j in range(d):
+            buf[start:stop, 64 + j] = 48 + index[start:stop] // 10 ** j % 10
+        buf[start:stop, 64 + d:64 + d + len(prefix)] = np.frombuffer(prefix[::-1], np.uint8)
+        if spans and spans[-1][0] == n_words:
+            spans[-1][2] = stop
+        else:
+            spans.append([n_words, start, stop])
+    return buf.view("<u4"), spans
+
+
 def _mt_words(prefix: str, m: int, count: int):
     """(words, done): words[i] holds the first `count` getrandbits(32) of
-    random.Random(f"{prefix}{i}") for every i < m with done[i].  Seeds in
-    key-length groups under _MIN_BATCH are left to the stdlib."""
+    random.Random(f"{prefix}{i}") for every i < m with done[i].  Batches of
+    up to _MAX_BATCH indices of any key length compute them; with fewer
+    than _MIN_BATCH indices in all, the stdlib computes every draw."""
     if not 0 < count <= _N - _M:
         raise ValueError(f"count {count} outside the first twist")
     words, done = np.zeros((m, count), np.uint32), np.zeros(m, bool)
-    ranges: list = []  # [key words, start, stop]: index ranges of one key length
+    prefix = prefix.encode()
+    digits = []  # (digit count, start, stop, key words) of the indices < m
     for d in range(1, len(str(max(m - 1, 0))) + 1):
-        start, stop = (10 ** (d - 1) if d > 1 else 0), min(10 ** d, m)
-        # seed(str) reads the bytes and their sha512 as one big-endian int.
-        # Seeds of one byte length share the prefix, so they share its bit length.
-        b = f"{prefix}{start}".encode()
+        start = 10 ** (d - 1) if d > 1 else 0
+        b = b"%s%d" % (prefix, start)
+        # seeds of one byte length share the prefix, so they share its bit length
         n_words = (int.from_bytes(b + _sha512(b).digest(), "big").bit_length() + 31) // 32
-        if ranges and ranges[-1][0] == n_words:
-            ranges[-1][2] = stop
-        else:
-            ranges.append([n_words, start, stop])
-    for n_words, start, stop in ranges:
-        if stop - start < _MIN_BATCH or n_words > _N:
-            continue
-        batches = -(-(stop - start) // _MAX_BATCH)
-        size = -(-(stop - start) // batches)  # even batches of at most _MAX_BATCH
-        for lo in range(start, stop, size):
-            hi = min(lo + size, stop)
-            blobs = (f"{prefix}{i}".encode() for i in range(lo, hi))
-            # init_by_array's key: that int's little-endian 32-bit words
-            key = b"".join([(b + _sha512(b).digest())[::-1][:4 * n_words]
-                            .ljust(4 * n_words, b"\0") for b in blobs])
-            words[lo:hi] = _mt_outputs(np.frombuffer(key, "<u4").reshape(hi - lo, n_words), count)
-            done[lo:hi] = True
+        if n_words > _N:  # init_by_array then runs past 624 steps: left to the stdlib
+            break
+        digits.append((d, start, min(10 ** d, m), n_words))
+    usable = digits[-1][2] if digits else 0
+    if usable < _MIN_BATCH:
+        return words, done
+    batches = -(-usable // _MAX_BATCH)
+    size = -(-usable // batches)  # even batches of at most _MAX_BATCH
+    for lo in range(0, usable, size):
+        hi = min(lo + size, usable)
+        words[lo:hi] = _mt_outputs(*_mt_keys(prefix, lo, hi, digits), count)
+    done[:usable] = True
     return words, done
 
 
@@ -191,9 +224,10 @@ def build_graph(kind: str, n: int, p: float | None = None, seed: int = 0):
     words, done = _mt_words(f"gnp:{seed}:", len(pairs), 2)
     # random() is (a * 2**26 + b) / 2**53 from the top 27 and 26 bits of two words
     x = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
-    keep, done = (x < p).tolist(), done.tolist()
-    return tuple(e for i, e in enumerate(pairs)
-                 if (keep[i] if done[i] else random.Random(f"gnp:{seed}:{i}").random() < p))
+    keep = x < p
+    for i in np.flatnonzero(~done).tolist():
+        keep[i] = random.Random(f"gnp:{seed}:{i}").random() < p
+    return tuple(compress(pairs, keep.tolist()))
 
 
 def grid_bounds(profile: SmoothingProfile, i: int, denom: int):
@@ -208,26 +242,32 @@ def sample_weights(edges, profile: SmoothingProfile, denom: int = DEFAULT_DENOM)
     """Weight numerators, each uniform on its grid and keyed by (seed, edge
     index); the grid bounds are computed once per distinct centre, and the
     edges of one grid are drawn together."""
-    bounds: dict = {}
+    m = len(edges)
     grids: dict = {}  # (lo, hi) -> edge indices
-    for i in range(len(edges)):
-        c = profile.centers[i] if profile.centers else 0
-        if c not in bounds:
-            bounds[c] = grid_bounds(profile, i, denom)
-        grids.setdefault(bounds[c], []).append(i)
-    words, done = _mt_words(f"w:{profile.seed}:", len(edges), _WORDS)
-    nums = [None] * len(edges)
+    if profile.centers:
+        bounds: dict = {}
+        for i in range(m):
+            c = profile.centers[i]
+            if c not in bounds:
+                bounds[c] = grid_bounds(profile, i, denom)
+            grids.setdefault(bounds[c], []).append(i)
+    elif m:
+        grids[grid_bounds(profile, 0, denom)] = np.arange(m)
+    words, done = _mt_words(f"w:{profile.seed}:", m, _WORDS)
+    nums = np.empty(m, dtype=object)
     for (lo, hi), idx in grids.items():
+        idx = np.asarray(idx)
         width = hi - lo + 1
+        ok = np.zeros(len(idx), bool)
         if 1 <= width < 2 ** 32:  # randint's getrandbits(k) is the top k bits of one word
             r = words[idx] >> (32 - width.bit_length())
-            r = r[np.arange(len(idx)), (r < width).argmax(axis=1)]  # _randbelow redraws r >= width
-            for i, v, ok in zip(idx, r.tolist(), ((r < width) & done[idx]).tolist()):
-                nums[i] = lo + v if ok else None
-        for i in idx:
-            if nums[i] is None:
-                nums[i] = random.Random(f"w:{profile.seed}:{i}").randint(lo, hi)
-    return tuple(nums)
+            hit = r < width  # _randbelow redraws r >= width
+            ok = hit.any(axis=1) & done[idx]
+            r = r[np.arange(len(idx)), hit.argmax(axis=1)]
+            nums[idx] = r.astype(np.int64 if abs(lo) < 2 ** 62 else object) + lo
+        for i in idx[~ok].tolist():  # the draws the batch does not reach
+            nums[i] = random.Random(f"w:{profile.seed}:{i}").randint(lo, hi)
+    return tuple(nums.tolist())
 
 
 def make_instance(kind: str, n: int, k: int, profile: SmoothingProfile,

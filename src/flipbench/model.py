@@ -15,7 +15,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,18 +73,25 @@ class Instance:
             raise ModelError("denominator must be a positive power of two")
         if len(self.edges) != len(self.weight_nums):
             raise ModelError("edge/weight length mismatch")
-        seen = set()
-        for (u, v) in self.edges:
-            if u == v:
-                raise ModelError(f"loop edge {u}")
-            if not (0 <= u < v < self.n):
-                raise ModelError(f"edge ({u},{v}) out of range or unordered")
-            if (u, v) in seen:
-                raise ModelError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-        for num in self.weight_nums:
-            if abs(num) > self.denom:
-                raise ModelError("weight magnitude exceeds 1")
+        try:
+            u, v, nums = self.edge_arrays()
+        except OverflowError:  # a token past int64: checked exactly, in Python ints
+            u, v = np.array(self.edges, dtype=object).reshape(-1, 2).T
+            nums = np.array(self.weight_nums, dtype=object)
+        order = np.lexsort((v, u))  # stable: an edge's first copy sorts first
+        dup = np.zeros(self.m, dtype=bool)
+        dup[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
+        bad = ~((0 <= u) & (u < v) & (v < self.n)) | dup
+        if bad.any():  # the first offending edge, in edge order
+            e = int(bad.argmax())
+            a, b = self.edges[e]
+            if a == b:
+                raise ModelError(f"loop edge {a}")
+            if dup[e]:
+                raise ModelError(f"duplicate edge ({a},{b})")
+            raise ModelError(f"edge ({a},{b}) out of range or unordered")
+        if ((nums > self.denom) | (nums < -self.denom)).any():
+            raise ModelError("weight magnitude exceeds 1")
         if self.complete and len(self.edges) != self.n * (self.n - 1) // 2:
             raise ModelError("complete flag set but edge set is not all pairs")
 
@@ -104,9 +111,10 @@ class Instance:
         edges, built once; nums is int64 while m * denom < 2**63 keeps every
         sum of them exact, Python ints otherwise."""
         if self._edge_arrays is None:
-            u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+            u, v = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                               count=2 * self.m).reshape(-1, 2).T
             dtype = np.int64 if self.m * self.denom < 2 ** 63 else object
-            arrays = (u, v, np.array(self.weight_nums, dtype=dtype))
+            arrays = (u, v, np.fromiter(self.weight_nums, dtype=dtype, count=self.m))
             for a in arrays:
                 a.flags.writeable = False
             object.__setattr__(self, "_edge_arrays", arrays)
@@ -131,8 +139,8 @@ class Instance:
         if self._weights is None:
             dtype = np.int64 if self.n * self.denom < 2 ** 62 else object
             w = np.zeros((self.n, self.n), dtype=dtype)
-            u, v, _ = self.edge_arrays()
-            w[u, v] = w[v, u] = np.array(self.weight_nums, dtype=dtype)
+            u, v, nums = self.edge_arrays()
+            w[u, v] = w[v, u] = nums
             w.flags.writeable = False
             object.__setattr__(self, "_weights", w)
         return self._weights
@@ -143,10 +151,9 @@ class Instance:
     # --- serialization: header `n k D phi complete`, then `u v num` lines
 
     def to_text(self) -> str:
-        lines = [f"{self.n} {self.k} {self.denom} {self.phi} {int(self.complete)}"]
-        for (u, v), num in zip(self.edges, self.weight_nums):
-            lines.append(f"{u} {v} {num}")
-        return "\n".join(lines) + "\n"
+        flat = np.column_stack(self.edge_arrays()).ravel().tolist()
+        return (f"{self.n} {self.k} {self.denom} {self.phi} {int(self.complete)}\n"
+                + ("%s %s %s\n" * self.m) % tuple(flat))
 
     @classmethod
     def from_text(cls, text: str) -> "Instance":
@@ -186,7 +193,7 @@ class Instance:
 
 
 def complete_edges(n: int):
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+    return tuple(combinations(range(n), 2))
 
 
 # --- configurations ----------------------------------------------------------

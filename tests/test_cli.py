@@ -144,6 +144,28 @@ def test_non_integer_instance_header_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges, message", [
+    # tokens past int64 are checked as Python ints, not converted
+    ("0 1000000000000000000000000000000 5", "edge (0,1000000000000000000000000000000) out of range"),
+    ("0 1 99999999999999999999999999999", "weight magnitude exceeds 1"),
+    ("0 1 5\n-1 2 5", "edge (-1,2) out of range or unordered"),
+    ("0 1 5\n1 3 5\n2 7 5", "edge (2,7) out of range or unordered"),
+    ("0 1 5\n2 2 5", "loop edge 2"),
+    ("0 1 5\n1 2 5\n0 1 3", "duplicate edge (0,1)"),
+    # the reader orders each pair, so an unordered pair can only repeat one
+    ("0 2 5\n2 0 5", "duplicate edge (0,2)"),
+    ("0 1 1048577", "weight magnitude exceeds 1"),
+    # the first offending edge in file order is the one reported
+    ("0 1 5\n3 3 5\n0 9 5", "loop edge 3"),
+])
+def test_hostile_instance_file_exits_2(tmp_path, capsys, edges, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"4 2 1048576 1 0\n{edges}\n")
+    assert main(["run", "--instance", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("beta", ["abc", "-1", "0"])
 def test_bad_beta_exits_2(tmp_path, capsys, beta):
     ipath, tpath = _write_trace(tmp_path, run_random(10, 2, 1))

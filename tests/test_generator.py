@@ -130,6 +130,71 @@ def test_batched_draws_match_the_stdlib(seed, grids):
             e for e, coin in zip(edges, coins) if coin < p)
 
 
+def _stdlib_words(prefix, m, count):
+    streams = [random.Random(f"{prefix}{i}") for i in range(m)]
+    return [[rng.getrandbits(32) for _ in range(count)] for rng in streams]
+
+
+def _key_words(prefix, i):
+    b = f"{prefix}{i}".encode()
+    return (int.from_bytes(b + hashlib.sha512(b).digest(), "big").bit_length() + 31) // 32
+
+
+def _check_draws(seed, m):
+    """Every batched word, weight and gnp coin of indices < m against the
+    stdlib; returns the indices the batches computed."""
+    prof = fb.SmoothingProfile(phi=Fraction(1), seed=seed)
+    assert sample_weights(range(m), prof) == _stdlib_weights(m, prof, fb.DEFAULT_DENOM)
+    done = True
+    for prefix, count in ((f"w:{seed}:", generator._WORDS), (f"gnp:{seed}:", 2)):
+        words, batched = generator._mt_words(prefix, m, count)
+        expected = _stdlib_words(prefix, m, count)
+        assert [w for w, ok in zip(words.tolist(), batched) if ok] == [
+            w for w, ok in zip(expected, batched) if ok]
+        done &= batched
+    # random() is (a >> 5) * 2**26 + (b >> 6) over 2**53: the coin build_graph forms
+    assert [((a >> 5) * 2 ** 26 + (b >> 6)) / 2 ** 53 for a, b in expected] == [
+        random.Random(f"gnp:{seed}:{i}").random() for i in range(m)]
+    return done
+
+
+@pytest.mark.parametrize("m", [511, 512])
+def test_min_batch_applies_to_all_indices(m):
+    # _MIN_BATCH counts every index, whatever its key length: below it the
+    # stdlib computes every draw, at it one batch computes them all
+    assert generator._MIN_BATCH == 512
+    done = _check_draws(4, m)
+    assert done.all() if m >= generator._MIN_BATCH else not done.any()
+
+
+def test_one_batch_spans_key_lengths():
+    # n = 64 with a 12-digit seed: indices of 1..4 digits in one batch, whose
+    # keys have two word counts (20 words below i = 10, 21 from there)
+    seed, n = 123456789012, 64
+    m = n * (n - 1) // 2
+    assert len(str(m - 1)) == 4 and m < generator._MAX_BATCH
+    assert [_key_words(f"w:{seed}:", i) for i in (0, 9, 10, 100, 1000, m - 1)] == [
+        20, 20, 21, 21, 21, 21]
+    assert _check_draws(seed, m).all()
+    prof = fb.SmoothingProfile(phi=Fraction(1), seed=seed)
+    edges = fb.complete_edges(n)
+    coins = [random.Random(f"gnp:{seed}:{i}").random() for i in range(m)]
+    for p in (0.5, coins[7], coins[1500]):
+        assert build_graph("gnp", n, p=p, seed=seed) == tuple(
+            e for e, coin in zip(edges, coins) if coin < p)
+    inst = fb.make_instance("complete", n, 2, prof)
+    assert inst.weight_nums == _stdlib_weights(m, prof, fb.DEFAULT_DENOM)
+
+
+def test_batch_boundary_inside_one_digit_range():
+    # m = 9000 takes two even batches of 4500: the boundary falls among
+    # the 4-digit indices
+    m = 9000
+    assert generator._MAX_BATCH < m <= 2 * generator._MAX_BATCH
+    assert len(str(m // 2 - 1)) == len(str(m // 2)) == 4
+    assert _check_draws(77, m).all()
+
+
 def test_rejection_tail_takes_the_stdlib(monkeypatch):
     # with one word per seed, randint's redraw after a rejected word (about
     # half the draws on a 2**20 + 1 grid) comes from the stdlib expression

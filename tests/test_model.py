@@ -71,21 +71,31 @@ def test_instance_text_roundtrip():
     assert back.content_hash() == inst.content_hash()
 
 
+_INVALID_INSTANCES = [
+    ({"k": 1, "edges": (), "weight_nums": ()}, "part count k must be at least 2"),
+    ({"edges": ((0, 0),), "weight_nums": (1,)}, "loop edge 0"),
+    ({"edges": ((1, 0),), "weight_nums": (1,)}, r"edge \(1,0\) out of range or unordered"),
+    ({"edges": ((0, 3),), "weight_nums": (1,)}, r"edge \(0,3\) out of range or unordered"),
+    ({"edges": ((-1, 2),), "weight_nums": (1,)}, r"edge \(-1,2\) out of range or unordered"),
+    ({"edges": ((0, 10 ** 30),), "weight_nums": (1,)}, r"edge \(0,10{30}\) out of range"),
+    ({"edges": ((0, 1), (0, 1)), "weight_nums": (1, 1)}, r"duplicate edge \(0,1\)"),
+    ({"edges": ((0, 1),), "weight_nums": (2 ** 21,)}, "weight magnitude exceeds 1"),
+    ({"edges": ((0, 1),), "weight_nums": (-2 ** 63,)}, "weight magnitude exceeds 1"),
+    ({"edges": ((0, 1),), "weight_nums": (10 ** 29,)}, "weight magnitude exceeds 1"),
+    ({"edges": ((0, 1),), "weight_nums": (1,), "denom": 3}, "positive power of two"),
+    ({"edges": ((0, 1),), "weight_nums": (1,), "complete": True}, "complete flag set"),
+    # the first offending edge in edge order wins, then the edge checks
+    # before the weights
+    ({"edges": ((0, 1), (2, 2), (1, 2), (0, 1)), "weight_nums": (1, 1, 1, 1)}, "loop edge 2"),
+    ({"edges": ((0, 2), (0, 2), (2, 1)), "weight_nums": (1, 1, 1)}, r"duplicate edge \(0,2\)"),
+    ({"edges": ((0, 1), (0, 5)), "weight_nums": (2 ** 30, 1)}, r"edge \(0,5\) out of range"),
+]
+
+
 def test_instance_validation_errors():
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=1, edges=(), weight_nums=())
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=2, edges=((0, 0),), weight_nums=(1,))
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=2, edges=((1, 0),), weight_nums=(1,))
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=2, edges=((0, 1), (0, 1)), weight_nums=(1, 1))
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=2, edges=((0, 1),), weight_nums=(2 ** 21,))
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=2, edges=((0, 1),), weight_nums=(1,), denom=3)
-    with pytest.raises(fb.ModelError):
-        fb.Instance(n=3, k=2, edges=((0, 1),), weight_nums=(1,), complete=True)
+    for kw, message in _INVALID_INSTANCES:
+        with pytest.raises(fb.ModelError, match=message):
+            fb.Instance(**{"n": 3, "k": 2, **kw})
 
 
 def test_move_validation():
@@ -174,3 +184,23 @@ def test_cached_edge_ids_and_arrays():
     big = fb.make_instance("complete", 12, 3, fb.SmoothingProfile(phi=1, seed=5), denom=2 ** 70)
     assert big.edge_arrays()[2].dtype == object
     assert big.total_weight() == Fraction(sum(big.weight_nums), big.denom)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: fb.make_instance("gnp", 96, 2, fb.SmoothingProfile(phi=Fraction(1), seed=3), p=0.5),
+     "e632750cedd88a6e587d6890a058991c85c95b9c095bdb49b40e53d0c5492ff6"),
+    # m * denom >= 2**63: the object-dtype path, nums held as Python ints
+    (lambda: fb.make_instance("complete", 12, 3, fb.SmoothingProfile(phi=1, seed=5), denom=2 ** 70),
+     "abe5feea0ba4156d86276edc74075a9aa843b19ff8fb289a590251b0039fa218"),
+])
+def test_instance_text_is_pinned(build, digest):
+    # digests recorded before to_text and the edge arrays were built in numpy
+    inst = build()
+    assert hashlib.sha256(inst.to_text().encode()).hexdigest() == digest
+    w = inst.weight_matrix()
+    expected = np.zeros((inst.n, inst.n), dtype=w.dtype)
+    for (u, v), num in zip(inst.edges, inst.weight_nums):
+        expected[u, v] = expected[v, u] = num
+    assert w.dtype == expected.dtype and (w == expected).all()
+    if w.dtype == object:  # exact Python ints, not int64 scalars
+        assert all(type(x) is int for x in w.ravel())
