@@ -10,6 +10,8 @@ configuration) and all time-steps are 1-based, matching trace files.
 from __future__ import annotations
 
 import bisect
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -153,26 +155,32 @@ def cycles(moves: Sequence[Move], k: int, cap: int = DEFAULT_CYCLE_CAP) -> Cycle
     return CycleSet(cycles=tuple(out), truncated=truncated)
 
 
+def _cyclic_steps(moves: Sequence[Move]) -> dict:
+    """{v: index into moves of the step at which v's part walk first
+    revisits a part}, for each vertex whose walk does."""
+    walks: dict = {}
+    turned: dict = {}
+    for i, (v, p, q) in enumerate(moves):
+        if v in turned:
+            continue
+        walk = walks.get(v)
+        if walk is None:
+            walks[v] = walk = {p}
+        if q in walk:
+            turned[v] = i
+        else:
+            walk.add(q)
+    return turned
+
+
 def classify_cyclic(moves: Sequence[Move], k: int):
     """(C(L), A(L)): vertices covered / not covered by some cycle.
 
     A vertex is cyclic iff its part walk within the sequence revisits a
     part, which avoids enumerating the cycles themselves.
     """
-    walks: dict = {}
-    cyclic = set()
-    for m in moves:
-        walk = walks.setdefault(m.v, None)
-        if walk is None:
-            walks[m.v] = walk = {m.p}
-        if m.v in cyclic:
-            continue
-        if m.q in walk:
-            cyclic.add(m.v)
-        else:
-            walk.add(m.q)
-    moving = set(walks)
-    return cyclic, moving - cyclic
+    cyclic = set(_cyclic_steps(moves))
+    return cyclic, {m.v for m in moves} - cyclic
 
 
 # --- block decomposition -----------------------------------------------------
@@ -190,19 +198,13 @@ def cyclic_acyclic_blocks(moves: Sequence[Move], k: int):
     """Decomposition into maximal cyclic / acyclic runs.  At k=2 a vertex
     is cyclic iff it moves at least twice, so these are the transition /
     singleton runs."""
-    cyc, _ = classify_cyclic(moves, k)
+    cyc = _cyclic_steps(moves)
     segments = []
-    start = None
-    flag = None
-    for t, m in enumerate(moves, start=1):
-        f = m.v in cyc
-        if flag is None:
-            start, flag = t, f
-        elif f != flag:
-            segments.append(Segment(start, t - 1, flag))
-            start, flag = t, f
-    if flag is not None:
-        segments.append(Segment(start, len(moves), flag))
+    t1 = 1
+    for special, run in itertools.groupby(moves, key=lambda m: m.v in cyc):
+        t2 = t1 + len(list(run)) - 1
+        segments.append(Segment(t1, t2, special))
+        t1 = t2 + 1
     return segments
 
 
@@ -324,8 +326,8 @@ def cyclic_ratio_qualifies(c: int, length: int, k: int, alpha: Fraction, n: int)
 def find_alpha_cyclic_block(moves: Sequence[Move], k: int, alpha, n: int) -> BlockView:
     """First block whose cyclic-vertex share meets the alpha-cyclic bound.
 
-    Scans starts ascending, then ends ascending, keeping per-vertex part
-    walks incrementally so each extension is O(1) amortized.  Existence
+    Scans starts ascending, then ends ascending; per start, one walk over
+    the suffix counts the vertices turning cyclic at each step.  Existence
     is guaranteed for sequences of length alpha*n with at most n moving
     vertices.
     """
@@ -333,19 +335,10 @@ def find_alpha_cyclic_block(moves: Sequence[Move], k: int, alpha, n: int) -> Blo
     ell = len(moves)
     parent = tuple(moves)
     for start in range(ell):
-        walks: dict = {}
-        cyclic = set()
-        for end in range(start, ell):
-            m = moves[end]
-            walk = walks.get(m.v)
-            if walk is None:
-                walks[m.v] = walk = {m.p}
-            if m.v not in cyclic:
-                if m.q in walk:
-                    cyclic.add(m.v)
-                else:
-                    walk.add(m.q)
-            length = end - start + 1
-            if cyclic_ratio_qualifies(len(cyclic), length, k, alpha, n):
-                return BlockView(parent=parent, t1=start + 1, t2=end + 1)
+        turned = Counter(_cyclic_steps(parent[start:]).values())
+        cyclic = 0
+        for length in range(1, ell - start + 1):
+            cyclic += turned[length - 1]
+            if cyclic_ratio_qualifies(cyclic, length, k, alpha, n):
+                return BlockView(parent=parent, t1=start + 1, t2=start + length)
     raise BlockNotFoundError("no alpha-cyclic block found")

@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (BlockView, Cycle, classify_cyclic, cyclic_acyclic_blocks,
-                       find_critical_block, occurrence_stats, two_critical_block)
+from .analysis import (BlockView, Cycle, cyclic_acyclic_blocks, find_critical_block,
+                       occurrence_stats, two_critical_block)
 from .engine import Trace
 from .matrices import SignMatrix, build_P, exact_rank
 from .model import ModelError
@@ -128,10 +128,11 @@ def is_good_arc(trace: Trace, v: int, u: int):
 # --- the cyclic block decomposition, per vertex ------------------------------
 
 def _cyclic_segments(trace: Trace):
-    """(cyclic blocks, occ, block_of), built once per trace: occ[v][i]
-    lists v's time-steps in cyclic block i, for each block v moves in,
-    ascending, and occ's keys are exactly the cyclic vertices; block_of
-    maps each time-step in a cyclic block to that block's index."""
+    """(cyclic blocks, occ, block_of, acyclic), built once per trace:
+    occ[v][i] lists v's time-steps in cyclic block i, for each block v
+    moves in, ascending, and occ's keys are exactly the cyclic vertices;
+    block_of maps each time-step in a cyclic block to that block's index;
+    acyclic is the set of the other moving vertices."""
     def build():
         moves = trace.moves
         segments = [s for s in cyclic_acyclic_blocks(moves, trace.instance.k) if s.special]
@@ -141,7 +142,7 @@ def _cyclic_segments(trace: Trace):
             for t in range(s.t1, s.t2 + 1):
                 block_of[t] = i
                 occ.setdefault(moves[t - 1].v, {}).setdefault(i, []).append(t)
-        return segments, occ, block_of
+        return segments, occ, block_of, frozenset(m.v for m in moves) - occ.keys()
     return trace.derived("cyclic", build)
 
 
@@ -200,7 +201,7 @@ def build_k2_certificate(trace: Trace, beta: Beta):
     # transition blocks of each vertex, head = a singleton in the gap; at
     # k=2 the cyclic blocks are the transition blocks, since a vertex is
     # cyclic iff it moves at least twice
-    _, occ, _ = _cyclic_segments(trace)
+    _, occ, _, _ = _cyclic_segments(trace)
     arcs_by_tail: dict = {}
     for v in sorted(stats.repeating):
         tree_arc = tree[v]
@@ -241,7 +242,7 @@ def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
     moves = trace.moves
     if not t1 < t2 < t3:
         raise CertificateError("time-steps must be increasing")
-    _, occ, block_of = _cyclic_segments(trace)
+    _, occ, block_of, _ = _cyclic_segments(trace)
     if v not in occ:
         raise CertificateError(f"vertex {v} is not cyclic")
     blocks = [block_of.get(t) for t in (t1, t2, t3)]
@@ -283,7 +284,7 @@ def is_tricky(trace: Trace, cyc: Cycle) -> bool:
     if len(cyc.times) != 3:
         raise CertificateError("trickiness is defined for 3-cycles")
     moves = trace.moves
-    _, occ, block_of = _cyclic_segments(trace)
+    _, _, block_of, acyc = _cyclic_segments(trace)
     blocks = [block_of.get(t) for t in cyc.times]
     if None in blocks:
         raise CertificateError("cycle steps must lie in cyclic blocks")
@@ -292,7 +293,6 @@ def is_tricky(trace: Trace, cyc: Cycle) -> bool:
     if len(set(blocks)) != 3:
         return False
     t1, t2, t3 = cyc.times
-    acyc = {m.v for m in moves} - occ.keys()
 
     def middle(lo, hi):
         return {moves[t - 1].v for t in range(lo, hi + 1)} & acyc
@@ -316,10 +316,9 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
     if not inst.complete:
         raise CertificateError("witness argument requires a complete graph")
     moves = trace.moves
-    segments, occ, _ = _cyclic_segments(trace)
+    segments, occ, _, acyc = _cyclic_segments(trace)
     if v not in occ:
         raise CertificateError(f"vertex {v} is not cyclic")
-    acyc = {m.v for m in moves} - occ.keys()
     v_blocks = list(occ[v])
     b = len(v_blocks)
     big_r = (b - 1) // 3
@@ -387,22 +386,20 @@ def build_3cut_certificate(trace: Trace, check_rank: bool = True):
     inst = trace.instance
     if inst.k != 3 or not inst.complete:
         raise CertificateError("construction requires k=3 on a complete graph")
-    if any(d <= 0 for d in trace.delta_nums):
-        raise CertificateError("trace is not improving")
-    moves = trace.moves
-    cyclic_set, _ = classify_cyclic(moves, 3)
+    # the half builder also refuses a trace that is not improving
+    half_graph, _ = build_half_certificate(trace, check_rank=False)
+    _, occ, _, _ = _cyclic_segments(trace)
     arcs_by_tail = {}
-    for v in sorted(cyclic_set):
+    for v in sorted(occ):
         arcs = neighborwise_arcs_3cut(trace, v)
         if arcs:
             arcs_by_tail[v] = tuple(arcs)
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
-    half_graph, _ = build_half_certificate(trace, check_rank=False)
     if half_graph.n_arcs > graph.n_arcs:
         graph = half_graph
     bound = graph.n_arcs
     need = CERTIFICATE_MODES["3cut"].rank_bound(
-        occurrence_stats(moves).s, len(cyclic_set), Beta.of(2))
+        occurrence_stats(trace.moves).s, len(occ), Beta.of(2))
     if bound < need:
         raise CertificateError(
             f"certificate bound {bound} below ceil(s/32)={need}; block not 2-critical?")
@@ -424,13 +421,13 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
     """
     if any(d <= 0 for d in trace.delta_nums):
         raise CertificateError("trace is not improving")
-    cyclic_set, _ = classify_cyclic(trace.moves, trace.instance.k)
+    _, occ, _, _ = _cyclic_segments(trace)
     p, columns = _witness_columns(trace)
     first: dict = {}
     for (v, times), j in columns.items():
         first.setdefault(v, (times, j))
     arcs: dict = {}
-    for v in sorted(cyclic_set):
+    for v in sorted(occ):
         if v not in first:
             raise CertificateError(f"cyclic vertex {v} has no enumerated cycle")
         times, j = first[v]
@@ -440,29 +437,24 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
                 f"cycle column of vertex {v} is all-zero: trace was not improving")
         arcs[v] = Arc(v=v, u=min(heads), witness=times)
 
-    # break the node-disjoint directed cycles of the functional graph
+    # break the node-disjoint directed cycles of the functional graph; a
+    # walk from each tail runs until it reaches a node some walk has seen
     removed = set()
-    color: dict = {}
+    seen = set()
     for start in sorted(arcs):
-        if color.get(start):
-            continue
         path = []
         node = start
-        while node in arcs and node not in removed and color.get(node) is None:
-            color[node] = "active"
+        while node in arcs and node not in seen:
+            seen.add(node)
             path.append(node)
             node = arcs[node].u
-        if node in path and color.get(node) == "active":
+        if node in path:
             # walk closed on itself: drop the arc leaving the smallest node
-            loop = path[path.index(node):]
-            removed.add(min(loop))
-        for w in path:
-            color[w] = "done"
+            removed.add(min(path[path.index(node):]))
 
     arcs_by_tail = {v: (arc,) for v, arc in arcs.items() if v not in removed}
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
-    c = len(cyclic_set)
-    if 2 * graph.n_arcs < c:
+    if 2 * graph.n_arcs < len(occ):
         raise CertificateError("cycle breaking removed too many arcs")
     if check_rank:
         rank = exact_rank(p)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (BlockNotFoundError, classify_cyclic, cycles,
-                       cyclic_acyclic_blocks, find_critical_block,
+from .analysis import (DEFAULT_CYCLE_CAP, BlockNotFoundError, classify_cyclic,
+                       cycles, cyclic_acyclic_blocks, find_critical_block,
                        occurrence_stats, surplus)
 from .certificates import CERTIFICATE_MODES, certify
 from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip,
@@ -77,10 +77,13 @@ def cmd_analyze(args) -> int:
     elif args.report == "cycles":
         cyc, acyc = classify_cyclic(moves, k)
         print(f"cyclic {len(cyc)} acyclic {len(acyc)}")
-        for c in cycles(moves, k).cycles:
+        cycle_set = cycles(moves, k)
+        for c in cycle_set.cycles:
             ts = ",".join(str(t) for t in c.times)
             ps = ",".join(str(p) for p in c.parts)
             print(f"cycle v={c.v} times={ts} parts={ps}")
+        if cycle_set.truncated:
+            print(f"truncated at {DEFAULT_CYCLE_CAP} cycles per vertex")
     elif args.report == "surplus":
         stats = occurrence_stats(moves)
         cyc, acyc = classify_cyclic(moves, k)

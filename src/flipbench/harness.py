@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -200,12 +201,14 @@ def _flip_trial(cfg: ExperimentConfig, n: int, phi, trial: int, centers=()):
 
 def _trials(cfg: ExperimentConfig, fn):
     """fn((cfg, n, phi, trial)) over the config's grid, in grid order, fanned
-    out across cfg.jobs processes."""
+    out across at most cfg.jobs processes, and never more than there are
+    tasks or CPUs (a fork-started pool forks every worker at once)."""
     tasks = [(cfg, n, phi, t) for n in cfg.n_grid for phi in cfg.phi_grid
              for t in range(cfg.trials)]
-    if cfg.jobs <= 1 or len(tasks) <= 1:
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -284,6 +284,25 @@ def test_cyclic_ratio_qualifies_oracle():
             assert got == (lhs >= rhs)
 
 
+def _first_alpha_cyclic_window(moves, k, alpha, n):
+    """(t1, t2) of the first qualifying window, starts then ends ascending,
+    by classifying every window afresh; None when no window qualifies."""
+    for start in range(len(moves)):
+        for end in range(start, len(moves)):
+            cyc, _ = fb.classify_cyclic(moves[start:end + 1], k)
+            if cyclic_ratio_qualifies(len(cyc), end - start + 1, k, alpha, n):
+                return start + 1, end + 1
+    return None
+
+
+def _alpha_cyclic_window(moves, k, alpha, n):
+    try:
+        block = fb.find_alpha_cyclic_block(moves, k, alpha, n)
+    except fb.BlockNotFoundError:
+        return None
+    return block.t1, block.t2
+
+
 def test_find_alpha_cyclic_block_on_full_windows():
     for seed in range(10):
         rng = random.Random(f"ac:{seed}")
@@ -294,3 +313,20 @@ def test_find_alpha_cyclic_block_on_full_windows():
         sub = block.seq
         cyc, _ = fb.classify_cyclic(sub, k)
         assert cyclic_ratio_qualifies(len(cyc), len(sub), k, Fraction(k), n)
+        assert (block.t1, block.t2) == _first_alpha_cyclic_window(moves, k, Fraction(k), n)
+    # a prefix of vertices moving once pushes the first qualifying window
+    # past start 1 on some lists, and out of reach on others
+    found = collections.Counter()
+    for seed in range(60):
+        rng = random.Random(f"aco:{seed}")
+        k = (2, 3, 4)[seed % 3]
+        verts = rng.randint(2, 5)
+        parts = rng.choices(range(1, k + 1), k=rng.randint(0, 40))
+        prefix = tuple(fb.Move(verts + i, p, p % k + 1) for i, p in enumerate(parts))
+        moves = prefix + random_moves(verts, k, rng.randint(2, 3 * k), 9000 + seed)
+        n = rng.randint(1, verts)
+        alpha = Fraction(rng.randint(2 * k - 1, 6 * k), 2)
+        want = _first_alpha_cyclic_window(moves, k, alpha, n)
+        assert _alpha_cyclic_window(moves, k, alpha, n) == want
+        found["none" if want is None else "start 1" if want[0] == 1 else "later"] += 1
+    assert min(found.values()) >= 5, found

@@ -149,6 +149,9 @@ def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
         calls.clear()
         fb.build_3cut_certificate(sub, check_rank=False)
         assert len(calls) == 1
+        # the view's cyclic and acyclic sets are the one cyclic rule's
+        _, occ, _, acyc = certificates._cyclic_segments(sub)
+        assert (set(occ), acyc) == fb.classify_cyclic(sub.moves, 3)
 
 
 def test_leaping_cycle_argument_errors():

@@ -1,5 +1,7 @@
 """Command-line interface smoke tests via main()."""
 
+import random
+
 import pytest
 
 import flipbench as fb
@@ -76,6 +78,8 @@ def test_analyze_reports(tmp_path, capsys):
                  "--report", "cycles"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("cyclic ")
+    assert not fb.cycles(trace3.moves, 3).truncated
+    assert out.splitlines()[-1].startswith(("cyclic ", "cycle "))
 
 
 def test_analyze_reports_a_trace_without_a_block(tmp_path, capsys):
@@ -104,6 +108,29 @@ def test_analyze_reports_a_trace_without_a_block(tmp_path, capsys):
     assert main(["analyze", "--instance", ipath, "--trace", tpath,
                  "--report", "blocks"]) == 0
     assert capsys.readouterr().out == "critical none\n"
+
+
+def test_analyze_marks_a_truncated_cycle_set(tmp_path, capsys):
+    # one vertex walking 400 times among three parts has more minimal
+    # cycles than the per-vertex cap
+    inst = fb.Instance.from_text("2 3 1048576 1 0\n0 1 5\n")
+    rng = random.Random(1)
+    moves, part = [], 1
+    for _ in range(400):
+        q = rng.choice([x for x in (1, 2, 3) if x != part])
+        moves.append(fb.Move(0, part, q))
+        part = q
+    trace = fb.replay(inst, (1, 1), moves)
+    assert fb.cycles(trace.moves, 3).truncated
+    ipath, tpath = _write_trace(tmp_path, trace)
+    assert main(["analyze", "--instance", ipath, "--trace", tpath,
+                 "--report", "cycles"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + fb.analysis.DEFAULT_CYCLE_CAP + 1
+    assert lines[-1] == f"truncated at {fb.analysis.DEFAULT_CYCLE_CAP} cycles per vertex"
+    # certify refuses the same files (the walk is not improving): exit 2
+    assert main(["certify", "--instance", ipath, "--trace", tpath, "--mode", "half"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_certify_half_mode(tmp_path, capsys):

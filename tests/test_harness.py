@@ -298,3 +298,31 @@ def test_jobs_fan_out_preserves_order():
                                 phi_grid=(Fraction(1),), k=k, trials=4, seed=6)
         cfg2 = dataclasses.replace(cfg1, jobs=2)
         assert fb.run_experiment(cfg1) == fb.run_experiment(cfg2)
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, workers", [
+    (500, 2, 4, 2), (500, 6, 4, 4), (3, 6, 4, 3), (500, 6, None, None)])
+def test_jobs_capped_by_tasks_and_cpus(monkeypatch, jobs, trials, cpus, workers):
+    # a fake pool records its size and maps in-process: no test starts a
+    # real pool of that many workers
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = ExperimentConfig(mode="scaling", n_grid=(8,), phi_grid=(Fraction(1),),
+                           k=2, trials=trials, seed=6, jobs=jobs)
+    assert fb.run_experiment(cfg) == fb.run_experiment(dataclasses.replace(cfg, jobs=1))
+    assert started == ([] if workers is None else [workers])
