@@ -109,13 +109,14 @@ class CycleSet:
     truncated: bool = False
 
 
-def cycles(moves: Sequence[Move], k: int, cap: int = DEFAULT_CYCLE_CAP) -> CycleSet:
+def cycles(moves: Sequence[Move], k: int) -> CycleSet:
     """All inclusion-wise minimal circuits, per vertex.
 
     A circuit whose departed parts are pairwise distinct is exactly a
     minimal one (any repeat splits off a sub-circuit), so enumeration
     extends partial chains only into unvisited parts and closes on the
-    start part.  Per-vertex output beyond `cap` sets the truncation flag.
+    start part.  Per-vertex output beyond DEFAULT_CYCLE_CAP sets the
+    truncation flag.
     """
     stats = occurrence_stats(moves)
     out = []
@@ -135,7 +136,7 @@ def cycles(moves: Sequence[Move], k: int, cap: int = DEFAULT_CYCLE_CAP) -> Cycle
                 if p != last_q:
                     continue
                 if q == start_part:
-                    if len(found) >= cap:
+                    if len(found) >= DEFAULT_CYCLE_CAP:
                         overflow = True
                         return
                     sel = path + [j]

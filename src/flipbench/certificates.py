@@ -6,8 +6,9 @@ entry on edge {u,v} is nonzero, and the per-tail arc ordering satisfies a
 staircase zero pattern, which forces the corresponding rows of the
 combined matrix P to be linearly independent.  Hence rank(P) >= #arcs.
 Every witness is a column of the trace's P (pairs for k=2, minimal
-cycles otherwise), and builders and validator alike read it from the P
-that build_P keeps on the trace.
+cycles otherwise).  Builders and validator alike look its heads up in
+one per-trace witness index, {(tail, times): heads}, read off the P
+that build_P keeps on the trace in one pass.
 
 Three constructions are provided:
   * k=2 blocks: functional reverse-BFS graph from the singleton vertices,
@@ -36,10 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (BlockView, Cycle, cyclic_acyclic_blocks, find_critical_block,
-                       occurrence_stats, two_critical_block)
+from .analysis import (BlockView, Cycle, classify_cyclic, cyclic_acyclic_blocks,
+                       find_critical_block, occurrence_stats, two_critical_block)
 from .engine import Trace
-from .matrices import SignMatrix, build_P, exact_rank
+from .matrices import build_P, exact_rank
 from .model import ModelError
 from .thresholds import Beta
 
@@ -83,26 +84,26 @@ class CertificateGraph:
 @dataclass(frozen=True)
 class Verdict:
     valid: bool
-    rank_bound: int
     reason: str = ""
 
 
-# --- witness columns ---------------------------------------------------------
+# --- the witness index -------------------------------------------------------
 
-def _witness_columns(trace: Trace):
-    """(P, columns): the trace's P and its column numbers keyed by
-    (tail, 1-based time-steps) of each pair (k=2) or minimal cycle, in
-    P's column order, which lists a vertex's columns in label order."""
-    p = build_P(trace, combine_mode(trace.instance.k))
-    return p, {(lab.v, lab.times): j for j, lab in enumerate(p.col_labels)}
-
-
-def _heads(trace: Trace, p: SignMatrix, j: int, v: int) -> list:
-    """The vertices u whose edge {v, u} carries a nonzero entry of column
-    j of p, a column over v, in edge order."""
-    u, w, _ = trace.instance.edge_arrays()
-    rows = p.rows[p.ptr[j]:p.ptr[j + 1]]
-    return (u[rows] + w[rows] - v).tolist()
+def _witness_heads(trace: Trace) -> dict:
+    """{(tail, 1-based time-steps): heads}, one entry per column of the
+    trace's P, a pair (k=2) or minimal cycle over tail, in P's column
+    order, which lists a vertex's columns in label order; heads are the
+    vertices u whose edge {tail, u} carries a nonzero entry of that
+    column, in edge order.  Built once per trace, in one pass over P."""
+    def build():
+        p = build_P(trace, combine_mode(trace.instance.k))
+        u, w, _ = trace.instance.edge_arrays()
+        tails = np.repeat([lab.v for lab in p.col_labels], np.diff(p.ptr))
+        heads = (u[p.rows] + w[p.rows] - tails).tolist()
+        ptr = p.ptr.tolist()
+        return {(lab.v, lab.times): heads[a:b]
+                for lab, a, b in zip(p.col_labels, ptr, ptr[1:])}
+    return trace.derived("witnesses", build)
 
 
 def is_good_arc(trace: Trace, v: int, u: int):
@@ -118,9 +119,8 @@ def is_good_arc(trace: Trace, v: int, u: int):
         raise CertificateError("arc endpoints must differ")
     if trace.instance.edge_index(u, v) is None:
         return False, None
-    p, columns = _witness_columns(trace)
-    for (tail, times), j in columns.items():
-        if tail == v and u in _heads(trace, p, j, v):
+    for (tail, times), heads in _witness_heads(trace).items():
+        if tail == v and u in heads:
             return True, times
     return False, None
 
@@ -168,18 +168,14 @@ def build_k2_certificate(trace: Trace, beta: Beta):
 
     # all good arcs out of repeating vertices, each with its first pair
     witness: dict = {}
-    heads: dict = {v: set() for v in stats.repeating}
-    p, columns = _witness_columns(trace)
-    for (v, times), j in columns.items():
-        for u in _heads(trace, p, j, v):
-            heads[v].add(u)
+    for (v, times), heads in _witness_heads(trace).items():
+        for u in heads:
             witness.setdefault((v, u), times)
 
     # reverse BFS from the singletons along good arcs
     tails_of: dict = {}
-    for v, hs in heads.items():
-        for u in hs:
-            tails_of.setdefault(u, []).append(v)
+    for v, u in witness:
+        tails_of.setdefault(u, []).append(v)
     tree: dict = {}
     queue = sorted(stats.singletons)
     seen = set(queue)
@@ -347,10 +343,10 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
         window_gap_sets.append(gap_vertices)
 
     # leaping cycles are minimal cycles, so each is a column of P
-    p, columns = _witness_columns(trace)
+    witness_heads = _witness_heads(trace)
     witnesses = []
     for r, cyc in enumerate(window_cycles):
-        heads = _heads(trace, p, columns[(v, cyc.times)], v)
+        heads = witness_heads[(v, cyc.times)]
         found = next((u for u in sorted(window_gap_sets[r]) if u in heads), None)
         if found is None:
             raise CertificateError(
@@ -374,14 +370,13 @@ def neighborwise_arcs_3cut(trace: Trace, v: int):
     return arcs
 
 
-def build_3cut_certificate(trace: Trace, check_rank: bool = True):
+def build_3cut_certificate(trace: Trace):
     """Certificate for a 2-critical block on a complete graph, k=3.
 
     Returns (graph, bound): the larger of the window-arc graph and the
     half certificate (>= ceil(c/2) arcs), and its arc count, so the bound
     is exactly what validating the graph checks.  Asserts bound >=
-    ceil(s/32) plus, when check_rank is set, that the exact rank of the
-    cycle matrix meets the bound.
+    ceil(s/32).
     """
     inst = trace.instance
     if inst.k != 3 or not inst.complete:
@@ -403,10 +398,6 @@ def build_3cut_certificate(trace: Trace, check_rank: bool = True):
     if bound < need:
         raise CertificateError(
             f"certificate bound {bound} below ceil(s/32)={need}; block not 2-critical?")
-    if check_rank:
-        rank = exact_rank(build_P(trace, "cycles"))
-        if rank < bound:
-            raise CertificateError(f"exact rank {rank} below certified bound {bound}")
     return graph, bound
 
 
@@ -421,17 +412,15 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
     """
     if any(d <= 0 for d in trace.delta_nums):
         raise CertificateError("trace is not improving")
-    _, occ, _, _ = _cyclic_segments(trace)
-    p, columns = _witness_columns(trace)
+    cyclic, _ = classify_cyclic(trace.moves, trace.instance.k)
     first: dict = {}
-    for (v, times), j in columns.items():
-        first.setdefault(v, (times, j))
+    for (v, times), heads in _witness_heads(trace).items():
+        first.setdefault(v, (times, heads))
     arcs: dict = {}
-    for v in sorted(occ):
+    for v in sorted(cyclic):
         if v not in first:
             raise CertificateError(f"cyclic vertex {v} has no enumerated cycle")
-        times, j = first[v]
-        heads = _heads(trace, p, j, v)
+        times, heads = first[v]
         if not heads:
             raise CertificateError(
                 f"cycle column of vertex {v} is all-zero: trace was not improving")
@@ -454,10 +443,10 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
 
     arcs_by_tail = {v: (arc,) for v, arc in arcs.items() if v not in removed}
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
-    if 2 * graph.n_arcs < len(occ):
+    if 2 * graph.n_arcs < len(cyclic):
         raise CertificateError("cycle breaking removed too many arcs")
     if check_rank:
-        rank = exact_rank(p)
+        rank = exact_rank(build_P(trace, combine_mode(trace.instance.k)))
         if rank < graph.n_arcs:
             raise CertificateError(
                 f"exact rank {rank} below certified bound {graph.n_arcs}")
@@ -480,7 +469,7 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     inst = trace.instance
     arcs = graph.arcs
     if not arcs:
-        return Verdict(valid=True, rank_bound=0)
+        return Verdict(valid=True)
 
     # acyclicity: peel vertices of in-degree 0 (Kahn); an arc left over
     # lies on or behind a directed cycle
@@ -498,42 +487,37 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
             if not in_degree[nxt]:
                 ready.append(nxt)
     if peeled < len(arcs):
-        return Verdict(valid=False, rank_bound=0, reason="graph has a directed cycle")
+        return Verdict(valid=False, reason="graph has a directed cycle")
 
     # witness entries and staircase, on the heads of each witness column
-    p, columns = _witness_columns(trace)
-    heads_of: dict = {}
+    witness_heads = _witness_heads(trace)
     for arc in arcs:
-        key = (arc.v, arc.witness)
-        if key not in columns:
-            return Verdict(valid=False, rank_bound=0,
+        if (arc.v, arc.witness) not in witness_heads:
+            return Verdict(valid=False,
                            reason=f"arc {arc.v}->{arc.u}: witness {arc.witness} is not "
                                   f"a pair or cycle of vertex {arc.v}")
-        heads_of[key] = set(_heads(trace, p, columns[key], arc.v))
 
     rows_of: dict = {}
     for arc in arcs:
         e = inst.edge_index(arc.u, arc.v)
         if e is None:
-            return Verdict(valid=False, rank_bound=0,
-                           reason=f"arc {arc.v}->{arc.u}: edge missing")
+            return Verdict(valid=False, reason=f"arc {arc.v}->{arc.u}: edge missing")
         if e in rows_of:
-            return Verdict(valid=False, rank_bound=0,
-                           reason=f"arc {arc.v}->{arc.u}: duplicate edge row")
+            return Verdict(valid=False, reason=f"arc {arc.v}->{arc.u}: duplicate edge row")
         rows_of[e] = len(rows_of)
-        if arc.u not in heads_of[(arc.v, arc.witness)]:
-            return Verdict(valid=False, rank_bound=0,
-                           reason=f"arc {arc.v}->{arc.u}: witness entry is zero")
+        if arc.u not in witness_heads[(arc.v, arc.witness)]:
+            return Verdict(valid=False, reason=f"arc {arc.v}->{arc.u}: witness entry is zero")
     for v, ordered in graph.arcs_by_tail.items():
         for i, arc_i in enumerate(ordered):
             for arc_j in ordered[i + 1:]:
-                if arc_j.u in heads_of[(arc_i.v, arc_i.witness)]:
+                if arc_j.u in witness_heads[(arc_i.v, arc_i.witness)]:
                     return Verdict(
-                        valid=False, rank_bound=0,
+                        valid=False,
                         reason=f"staircase broken at {v}->{arc_j.u} on witness of {v}->{arc_i.u}")
 
     # full row rank of the arcs' edge rows over all pair/cycle columns of
     # the trace, read in one pass over P
+    p = build_P(trace, combine_mode(inst.k))
     row_at = np.full(p.n_rows, -1, dtype=np.intp)
     row_at[list(rows_of)] = np.arange(len(rows_of))
     at = row_at[p.rows]
@@ -544,9 +528,9 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     if not _full_row_rank_mod_p(rows):
         rank = _rational_row_rank([[Fraction(x) for x in r] for r in rows.tolist()])
         if rank != len(arcs):
-            return Verdict(valid=False, rank_bound=rank,
+            return Verdict(valid=False,
                            reason=f"witness rows have rank {rank}, expected {len(arcs)}")
-    return Verdict(valid=True, rank_bound=len(arcs))
+    return Verdict(valid=True)
 
 
 # the validator's prime, deliberately not exact_rank's 2**31 - 1; residues
@@ -626,7 +610,7 @@ CERTIFICATE_MODES = {
         block=lambda moves, beta: two_critical_block(moves),
         window=lambda k, beta, n: 3 * n,
         rank_bound=lambda s, c, beta: -(-s // 32),
-        build=lambda trace, beta: build_3cut_certificate(trace, check_rank=False)),
+        build=lambda trace, beta: build_3cut_certificate(trace)),
     # the whole window, rank >= ceil(c/2)
     "half": CertificateMode(
         block=lambda moves, beta: BlockView(moves, 1, len(moves)),

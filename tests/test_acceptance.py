@@ -158,7 +158,7 @@ def test_criterion_4_certificate_soundness(k2_blocks, k3_blocks, k4_traces):
             bad += 1
         built += 1
     for sub in k3_blocks:
-        graph, _ = fb.build_3cut_certificate(sub, check_rank=False)
+        graph, _ = fb.build_3cut_certificate(sub)
         verdict = fb.validate_certificate(graph, sub)
         rank = fb.exact_rank(fb.build_P(sub, "cycles"))
         if not verdict.valid or rank < graph.n_arcs:

@@ -127,11 +127,12 @@ def test_leaping_cycle_and_3cut_on_synthesized_blocks():
         block = fb.two_critical_block(trace.moves)
         sub = fb.slice_trace(trace, block.t1, block.t2)
         assert all(d > 0 for d in sub.delta_nums)
-        graph, bound = fb.build_3cut_certificate(sub, check_rank=True)
+        graph, bound = fb.build_3cut_certificate(sub)
         stats = fb.occurrence_stats(sub.moves)
         assert bound >= -(-stats.s // 32)
         verdict = fb.validate_certificate(graph, sub)
         assert verdict.valid, verdict.reason
+        assert fb.exact_rank(fb.build_P(sub, "cycles")) >= bound
 
 
 def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
@@ -147,7 +148,7 @@ def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
     monkeypatch.setattr(certificates, "cyclic_acyclic_blocks", counted)
     for sub in synth_3cut_blocks():
         calls.clear()
-        fb.build_3cut_certificate(sub, check_rank=False)
+        fb.build_3cut_certificate(sub)
         assert len(calls) == 1
         # the view's cyclic and acyclic sets are the one cyclic rule's
         _, occ, _, acyc = certificates._cyclic_segments(sub)
@@ -195,6 +196,41 @@ def test_half_certificate_refuses_non_improving():
     bad = fb.replay(inst, (1, 1), [fb.Move(0, 1, 2), fb.Move(0, 2, 1)])
     with pytest.raises(fb.CertificateError):
         fb.build_half_certificate(bad)
+
+
+def test_half_certificate_breaks_a_loop_at_its_smallest_node():
+    # each cyclic vertex's first pair and its smallest head: 0 (1,4) -> 2,
+    # 1 (2,5) -> 2 and 2 (3,8) -> 1, where vertex 0 moves twice inside
+    # (3,8); the walk from 0 runs 0, 2, 1 and closes at 2, yet the arc
+    # dropped is the one leaving the loop's smallest node, 1
+    inst = fb.Instance(n=6, k=2, edges=((0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5),
+                                        (2, 3), (2, 4), (3, 4)),
+                       weight_nums=(-1, -1, 1, -1, -4, -4, 1, -2, -4), denom=4)
+    trace = fb.replay(inst, (2, 2, 1, 1, 2, 2), [
+        fb.Move(0, 2, 1), fb.Move(1, 2, 1), fb.Move(2, 1, 2), fb.Move(0, 1, 2),
+        fb.Move(1, 1, 2), fb.Move(4, 2, 1), fb.Move(0, 2, 1), fb.Move(2, 2, 1),
+        fb.Move(3, 1, 2)])
+    assert all(d > 0 for d in trace.delta_nums)
+    assert fb.is_good_arc(trace, 1, 2) == (True, (2, 5))
+    graph, bound = fb.build_half_certificate(trace)
+    assert graph.arcs == (Arc(0, 2, (1, 4)), Arc(2, 1, (3, 8)))
+    assert bound == 2 and fb.validate_certificate(graph, trace).valid
+
+
+def test_half_certificate_reads_only_the_cyclic_set(monkeypatch):
+    # one arc per cyclic vertex needs the cyclic set, not the block view
+    def refused(*args):
+        raise AssertionError("half certificate built the cyclic block view")
+
+    monkeypatch.setattr(certificates, "cyclic_acyclic_blocks", refused)
+    built = 0
+    for seed in range(10):
+        trace = run_random(14, 4, 600 + seed)
+        graph, _ = fb.build_half_certificate(trace, check_rank=False)
+        cyc, _ = fb.classify_cyclic(trace.moves, 4)
+        assert set(graph.arcs_by_tail) <= cyc and 2 * graph.n_arcs >= len(cyc)
+        built += graph.n_arcs > 0
+    assert built >= 3
 
 
 def test_certify_dispatches_by_mode():
@@ -319,7 +355,7 @@ def test_validate_rejects_broken_staircase():
 def test_empty_certificate_is_trivially_valid():
     trace = run_random(8, 2, 4)
     verdict = fb.validate_certificate(CertificateGraph(arcs_by_tail={}), trace)
-    assert verdict.valid and verdict.rank_bound == 0
+    assert verdict == certificates.Verdict(valid=True)
 
 
 def test_bound_tradeoff_identity():
@@ -378,7 +414,8 @@ def test_step_matrix_built_once_per_certificate(monkeypatch):
     for sub in subs:
         builds.reset()
         assert fb.certify(sub, "3cut", Beta.sqrt_half())[2].valid
-        fb.build_3cut_certificate(sub, check_rank=True)
+        _, bound = fb.build_3cut_certificate(sub)
+        assert fb.exact_rank(fb.build_P(sub, "cycles")) >= bound
         assert builds.counts() == one
 
 

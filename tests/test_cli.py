@@ -193,6 +193,22 @@ def test_hostile_instance_file_exits_2(tmp_path, capsys, edges, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+# 10**17 parts take 711 PiB for numpy's part-label array, past any 64-bit
+# address space, so the allocation is refused at once on every machine
+@pytest.mark.parametrize("command, name, text", [
+    ("run", "inst.txt", "2 100000000000000000 1048576 1 0\n0 1 5\n"),
+    ("experiment", "scaling.cfg",
+     "mode scaling\nn_grid 8\nk 100000000000000000\ntrials 1\nseed 1\n"),
+])
+def test_part_count_numpy_cannot_allocate_exits_2(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--instance" if command == "run" else "--config"
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("beta", ["abc", "-1", "0"])
 def test_bad_beta_exits_2(tmp_path, capsys, beta):
     ipath, tpath = _write_trace(tmp_path, run_random(10, 2, 1))
