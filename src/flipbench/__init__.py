@@ -5,8 +5,7 @@ matrices, rank certificates, and batch experiments.
 """
 
 from .model import (DEFAULT_DENOM, Instance, InvalidMoveError, ModelError,
-                    Move, apply_move, complete_edges, cut_value, hamiltonian,
-                    improving_moves, move_delta)
+                    Move, complete_edges, cut_value, hamiltonian)
 from .thresholds import Beta
 from .generator import SmoothingProfile, build_graph, make_instance
 from .engine import (PivotRule, ReplayError, Trace, replay, run_flip,
@@ -15,12 +14,11 @@ from .analysis import (BlockNotFoundError, BlockView, Cycle, CycleSet, Pair,
                        classify_cyclic, cycles, cyclic_acyclic_blocks,
                        find_alpha_cyclic_block, find_critical_block,
                        occurrence_stats, pairs, surplus, two_critical_block)
-from .matrices import (SignMatrix, build_M, build_P, exact_rank,
-                       weighted_column_sums)
+from .matrices import SignMatrix, build_M, build_P, exact_rank
 from .certificates import (Arc, CertificateError, CertificateGraph,
                            build_3cut_certificate, build_half_certificate,
-                           build_k2_certificate, certify, is_good_arc,
-                           is_tricky, leaping_cycle, neighborwise_arcs_3cut,
+                           build_k2_certificate, certify, is_tricky,
+                           leaping_cycle, neighborwise_arcs_3cut,
                            validate_certificate)
 from .harness import (ExperimentConfig, HarnessError, approx_check,
                       brute_force_opt_num, epsilon_bound, exp_mc,

@@ -106,25 +106,6 @@ def _witness_heads(trace: Trace) -> dict:
     return trace.derived("witnesses", build)
 
 
-def is_good_arc(trace: Trace, v: int, u: int):
-    """(verdict, witness times): some pair/cycle over v hits edge {u,v}.
-
-    The first such column of P over v is the witness.  For k=2 a pair of
-    v hits {u,v} iff u moves an odd number of times strictly between its
-    two time-steps.
-    """
-    if v not in occurrence_stats(trace.moves).moving:
-        raise CertificateError(f"vertex {v} does not move")
-    if u == v:
-        raise CertificateError("arc endpoints must differ")
-    if trace.instance.edge_index(u, v) is None:
-        return False, None
-    for (tail, times), heads in _witness_heads(trace).items():
-        if tail == v and u in heads:
-            return True, times
-    return False, None
-
-
 # --- the cyclic block decomposition, per vertex ------------------------------
 
 def _cyclic_segments(trace: Trace):

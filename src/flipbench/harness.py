@@ -118,6 +118,7 @@ CONFIG_FIELDS = {
 def parse_config(text: str) -> ExperimentConfig:
     """Config file format: one `key value` pair per line, # comments."""
     kw: dict = {}
+    seen: dict = {}
     for lineno, ln in enumerate(text.splitlines(), start=1):
         key, _, value = ln.strip().partition(" ")
         if not key or key.startswith("#"):
@@ -125,6 +126,8 @@ def parse_config(text: str) -> ExperimentConfig:
         convert = CONFIG_FIELDS.get(key)
         if convert is None:
             raise HarnessError(f"unknown config key {key!r} on line {lineno}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise HarnessError(f"config key {key!r} on line {lineno} repeats line {seen[key]}")
         try:
             kw[key] = convert(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

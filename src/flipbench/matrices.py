@@ -274,13 +274,3 @@ def _bareiss_rank(rows) -> int:
         if r == len(rows):
             break
     return rank
-
-
-# --- improvements ------------------------------------------------------------
-
-def weighted_column_sums(mat: SignMatrix, weight_nums) -> tuple:
-    """Numerators of <column, X> for every column."""
-    out = []
-    for col in mat.cols:
-        out.append(sum(val * weight_nums[r] for r, val in col))
-    return tuple(out)

@@ -71,6 +71,8 @@ class Instance:
             raise ModelError("part count k must be at least 2")
         if self.denom <= 0 or self.denom & (self.denom - 1):
             raise ModelError("denominator must be a positive power of two")
+        if self.phi <= 0:
+            raise ModelError(f"phi must be positive, not {self.phi}")
         if len(self.edges) != len(self.weight_nums):
             raise ModelError("edge/weight length mismatch")
         try:
@@ -164,11 +166,12 @@ class Instance:
         if len(head) != 5:
             raise ModelError("malformed instance header")
         try:
-            n, k, denom = int(head[0]), int(head[1]), int(head[2])
+            n, k, denom, complete = (int(head[i]) for i in (0, 1, 2, 4))
             phi = Fraction(head[3])
-            complete = bool(int(head[4]))
         except (ValueError, ZeroDivisionError):
             raise ModelError(f"non-numeric instance header {lines[0][:60]!r}") from None
+        if complete not in (0, 1):
+            raise ModelError(f"complete flag must be 0 or 1, not {head[4]}")
         edges, nums = [], []
         for lineno, ln in enumerate(lines[1:], start=2):
             parts = ln.split()
@@ -183,7 +186,7 @@ class Instance:
             edges.append((u, v))
             nums.append(num)
         return cls(n=n, k=k, edges=tuple(edges), weight_nums=tuple(nums),
-                   denom=denom, phi=phi, complete=complete)
+                   denom=denom, phi=phi, complete=bool(complete))
 
     def content_hash(self) -> str:
         if self._hash is None:
@@ -318,43 +321,3 @@ def sequence_chunks(inst: Instance, tau0: Sequence[int], moves):
         yield lo, chunk, taus
         tau = taus[-1].copy()
         tau[chunk[-1, 0]] = chunk[-1, 2]
-
-
-def move_delta(inst: Instance, tau: Sequence[int], m: Move) -> Fraction:
-    """H(apply(tau,m)) - H(tau): the kernel's one-row case."""
-    check_configuration(inst, tau)
-    validate_move(inst, tau, m)
-    deltas = step_deltas(inst, np.array([tau], dtype=np.intp), np.array([m], dtype=np.intp))
-    return Fraction(int(deltas[0]), inst.denom)
-
-
-def apply_move(tau: Configuration, m: Move) -> Configuration:
-    """tau after m.  With no k at hand a destination part above k passes;
-    validate_move checks that range against an instance."""
-    if not 0 <= m.v < len(tau):
-        raise InvalidMoveError(m, "vertex out of range")
-    if m.q < 1:
-        raise InvalidMoveError(m, "destination part below 1")
-    if tau[m.v] != m.p:
-        raise InvalidMoveError(m, f"vertex {m.v} is in part {tau[m.v]}, not {m.p}")
-    if m.p == m.q:
-        raise InvalidMoveError(m, "from-part equals to-part")
-    out = list(tau)
-    out[m.v] = m.q
-    return tuple(out)
-
-
-def improving_moves(inst: Instance, tau: Sequence[int]):
-    """All (Move, delta) with strictly positive exact delta.
-
-    Empty result means tau is a local max-k-cut.  Moves are ordered by
-    (vertex, destination part); all n(k-1) of them are scored in one
-    kernel call.
-    """
-    check_configuration(inst, tau)
-    tau = np.array(tau, dtype=np.intp)
-    v, q = np.nonzero(np.arange(1, inst.k + 1) != tau[:, None])
-    moves = np.stack([v, tau[v], q + 1], axis=1)
-    deltas = step_deltas(inst, np.broadcast_to(tau, (len(moves), inst.n)), moves)
-    return [(Move(*map(int, m)), Fraction(int(d), inst.denom))
-            for m, d in zip(moves, deltas) if d > 0]

@@ -63,6 +63,46 @@ class MatrixBuilds:
                 "P": len({id(p) for p in self.made["P"]}), "cycles": self.cycles}
 
 
+# --- reference oracles, from the definitions ----------------------------------
+# None of them calls the step-sign kernel (model.step_signs, step_deltas,
+# sequence_chunks) or the certificates' witness index itself, so none can
+# share a bug with the code it checks.
+
+def improving_set(inst, tau) -> list:
+    """Every (Move, delta) at tau with a strictly positive exact delta, in
+    (vertex, destination part) order: moving v from p to q gains the
+    weight of v's edges into p less the weight of its edges into q."""
+    into = [[0] * (inst.k + 1) for _ in range(inst.n)]
+    for (a, b), num in zip(inst.edges, inst.weight_nums):
+        into[a][tau[b]] += num
+        into[b][tau[a]] += num
+    out = []
+    for v, p in enumerate(tau):
+        for q in range(1, inst.k + 1):
+            if q != p and into[v][p] > into[v][q]:
+                out.append((fb.Move(v, p, q), Fraction(into[v][p] - into[v][q], inst.denom)))
+    return out
+
+
+def play_move(inst, tau, move) -> tuple:
+    """(delta, configuration after move) of one move from tau, read off a
+    one-step replay, which checks the move first."""
+    step = fb.replay(inst, tau, [move])
+    return Fraction(step.delta_nums[0], inst.denom), step.final_configuration()
+
+
+def good_arc(trace, v: int, u: int) -> tuple:
+    """(verdict, witness times) of the arc v->u by the paper's definition:
+    the first pair (k=2) or minimal cycle column of P over v, in P's
+    column order, with a nonzero entry on edge {u, v}."""
+    e = trace.instance.edge_index(u, v)
+    p = fb.build_P(trace, "pairs" if trace.instance.k == 2 else "cycles")
+    for label, col in zip(p.col_labels, p.cols):
+        if label.v == v and e is not None and dict(col).get(e):
+            return True, label.times
+    return False, None
+
+
 def smoothed_instance(n: int, k: int, seed: int, phi=1, kind: str = "complete",
                       p: float = 0.5):
     profile = fb.SmoothingProfile(phi=Fraction(phi), seed=seed)

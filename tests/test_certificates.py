@@ -9,8 +9,8 @@ from flipbench import certificates
 from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
-from conftest import (MatrixBuilds, run_random, smoothed_instance, synth_3cut_blocks,
-                      synth_trace, synth_traces)
+from conftest import (MatrixBuilds, good_arc, run_random, smoothed_instance,
+                      synth_3cut_blocks, synth_trace, synth_traces)
 
 
 def _k2_trace(moves, n=3):
@@ -24,38 +24,49 @@ def _witness_entry(trace, times, e):
     return sum(dict(m.cols[t - 1]).get(e, 0) for t in times)
 
 
+def _one_arc(v, u, witness):
+    return CertificateGraph(arcs_by_tail={v: (Arc(v, u, witness),)})
+
+
 def test_good_arc_odd_parity():
     # v moves at 1 and 3, u once in between: arc v->u is good
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 1)])
-    good, wit = fb.is_good_arc(trace, 0, 1)
+    good, wit = good_arc(trace, 0, 1)
     assert good and wit == (1, 3)
     e = trace.instance.edge_index(0, 1)
     assert _witness_entry(trace, wit, e) != 0
+    assert fb.validate_certificate(_one_arc(0, 1, wit), trace).valid
 
 
 def test_good_arc_even_parity_fails():
     # u moves twice between the pair: entry cancels, arc not good
     trace = _k2_trace([fb.Move(0, 1, 2), fb.Move(1, 1, 2),
                        fb.Move(1, 2, 1), fb.Move(0, 2, 1)])
-    good, wit = fb.is_good_arc(trace, 0, 1)
+    good, wit = good_arc(trace, 0, 1)
     assert not good and wit is None
     e = trace.instance.edge_index(0, 1)
     assert _witness_entry(trace, (1, 4), e) == 0
+    verdict = fb.validate_certificate(_one_arc(0, 1, (1, 4)), trace)
+    assert verdict.reason == "arc 0->1: witness entry is zero"
 
 
 def test_good_arc_requires_edge_and_sane_endpoints():
     inst = fb.Instance(n=3, k=2, edges=((0, 1),), weight_nums=(5,))
     trace = fb.replay(inst, (1, 1, 1),
                       [fb.Move(0, 1, 2), fb.Move(2, 1, 2), fb.Move(0, 2, 1)])
-    good, _ = fb.is_good_arc(trace, 0, 2)  # odd parity but edge {0,2} missing
+    good, _ = good_arc(trace, 0, 2)  # odd parity but edge {0,2} missing
     assert not good
-    with pytest.raises(fb.CertificateError):
-        fb.is_good_arc(trace, 1, 0)  # vertex 1 does not move
-    with pytest.raises(fb.CertificateError):
-        fb.is_good_arc(trace, 0, 0)
+    for graph, reason in ((_one_arc(0, 2, (1, 3)), "arc 0->2: edge missing"),
+                          # vertex 1 does not move
+                          (_one_arc(1, 0, (1, 3)),
+                           "arc 1->0: witness (1, 3) is not a pair or cycle of vertex 1"),
+                          (_one_arc(0, 0, (1, 3)), "graph has a directed cycle")):
+        assert fb.validate_certificate(graph, trace).reason == reason
 
 
 def test_good_arc_general_k_matches_cycle_scan():
+    # the validator accepts a one-arc certificate exactly when the
+    # definition finds its witness good
     traces = synth_traces(8, 3, 4, 12, want=2, seed0=500)
     assert traces
     for trace in traces:
@@ -66,13 +77,18 @@ def test_good_arc_general_k_matches_cycle_scan():
             for u in range(inst.n):
                 if u == v:
                     continue
-                good, wit = fb.is_good_arc(trace, v, u)
+                good, wit = good_arc(trace, v, u)
                 e = inst.edge_index(u, v)
                 want = any(_witness_entry(trace, c.times, e) != 0
                            for c in cyc_set.cycles if c.v == v)
                 assert good == want
                 if good:
                     assert _witness_entry(trace, wit, e) != 0
+                for c in cyc_set.cycles:
+                    if c.v == v:
+                        hit = e is not None and _witness_entry(trace, c.times, e) != 0
+                        verdict = fb.validate_certificate(_one_arc(v, u, c.times), trace)
+                        assert verdict.valid == hit
 
 
 def _collect_k2_blocks(want, seed0=0, with_singletons=True):
@@ -211,7 +227,7 @@ def test_half_certificate_breaks_a_loop_at_its_smallest_node():
         fb.Move(1, 1, 2), fb.Move(4, 2, 1), fb.Move(0, 2, 1), fb.Move(2, 2, 1),
         fb.Move(3, 1, 2)])
     assert all(d > 0 for d in trace.delta_nums)
-    assert fb.is_good_arc(trace, 1, 2) == (True, (2, 5))
+    assert good_arc(trace, 1, 2) == (True, (2, 5))
     graph, bound = fb.build_half_certificate(trace)
     assert graph.arcs == (Arc(0, 2, (1, 4)), Arc(2, 1, (3, 8)))
     assert bound == 2 and fb.validate_certificate(graph, trace).valid
@@ -399,8 +415,6 @@ def test_step_matrix_built_once_per_certificate(monkeypatch):
     assert len({arc.witness for arc in arcs}) >= 2
     graph = CertificateGraph(arcs_by_tail={0: tuple(arcs)})
     assert fb.validate_certificate(graph, trace).valid
-    for u in range(1, trace.instance.n):
-        fb.is_good_arc(trace, 0, u)
     assert builds.counts() == one
     assert len([c for c in fb.cycles(trace.moves, 3).cycles if c.v == 0]) >= 2
 

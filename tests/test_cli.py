@@ -193,6 +193,30 @@ def test_hostile_instance_file_exits_2(tmp_path, capsys, edges, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("header, message", [
+    ("4 2 1048576 0 0", "phi must be positive, not 0"),
+    ("4 2 1048576 -5 0", "phi must be positive, not -5"),
+    ("4 2 1048576 -1/2 0", "phi must be positive, not -1/2"),
+    ("4 2 1048576 1 7", "complete flag must be 0 or 1, not 7"),
+    ("4 2 1048576 1 -1", "complete flag must be 0 or 1, not -1"),
+])
+def test_bad_instance_header_exits_2(tmp_path, capsys, header, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{header}\n0 1 5\n")
+    assert main(["run", "--instance", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_config_with_a_repeated_key_exits_2(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.txt"
+    cfgp.write_text("mode scaling\nk 2\nk 3\nmode rank\n")
+    assert main(["experiment", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "config key 'k' on line 3 repeats line 2" in err
+
+
 # 10**17 parts take 711 PiB for numpy's part-label array, past any 64-bit
 # address space, so the allocation is refused at once on every machine
 @pytest.mark.parametrize("command, name, text", [

@@ -7,7 +7,7 @@ import pytest
 
 import flipbench as fb
 
-from conftest import random_tau0, run_random, smoothed_instance
+from conftest import improving_set, random_tau0, run_random, smoothed_instance
 
 
 def test_run_reaches_local_optimum():
@@ -16,7 +16,7 @@ def test_run_reaches_local_optimum():
         assert not trace.step_cap_hit
         assert all(d > 0 for d in trace.delta_nums)
         final = trace.final_configuration()
-        assert fb.improving_moves(trace.instance, final) == []
+        assert improving_set(trace.instance, final) == []
         fb.verify_trace(trace)
 
 
@@ -32,7 +32,7 @@ def test_rules_agree_on_final_optimality():
     tau0 = random_tau0(10, 2, 5)
     for variant in ("first", "best", "random"):
         trace = fb.run_flip(inst, tau0, fb.PivotRule(variant=variant, seed=1))
-        assert fb.improving_moves(inst, trace.final_configuration()) == []
+        assert improving_set(inst, trace.final_configuration()) == []
 
 
 def _configurations(trace):
@@ -50,7 +50,7 @@ def test_best_rule_picks_largest_delta():
     tau0 = random_tau0(9, 3, 2)
     trace = fb.run_flip(inst, tau0, fb.PivotRule(variant="best"))
     for tau, (move, dnum) in zip(_configurations(trace), trace.steps):
-        best = max(d for _, d in fb.improving_moves(inst, tau))
+        best = max(d for _, d in improving_set(inst, tau))
         assert Fraction(dnum, inst.denom) == best
 
 
@@ -59,7 +59,7 @@ def test_first_rule_picks_first_improving():
     tau0 = random_tau0(9, 3, 4)
     trace = fb.run_flip(inst, tau0, fb.PivotRule(variant="first"))
     for tau, (move, _) in zip(_configurations(trace), trace.steps):
-        first = fb.improving_moves(inst, tau)[0][0]
+        first = improving_set(inst, tau)[0][0]
         assert move == first
 
 
@@ -110,9 +110,12 @@ def test_replay_error_names_the_reason():
     inst = smoothed_instance(5, 3, 0)
     tau0 = (1, 2, 3, 1, 2)
     for move, reason in ((fb.Move(0, 1, 7), "parts outside 1..3"),
+                         (fb.Move(0, 1, 0), "parts outside 1..3"),
+                         (fb.Move(0, 1, -3), "parts outside 1..3"),
                          (fb.Move(0, 1, 1), "from-part equals to-part"),
                          (fb.Move(0, 2, 3), "vertex 0 is in part 1, not 2"),
-                         (fb.Move(5, 1, 2), "vertex out of range")):
+                         (fb.Move(5, 1, 2), "vertex out of range"),
+                         (fb.Move(-1, 2, 1), "vertex out of range")):
         with pytest.raises(fb.ReplayError) as ei:
             fb.replay(inst, tau0, [fb.Move(1, 2, 3), move])
         assert ei.value.step == 2 and ei.value.move == move
@@ -178,13 +181,13 @@ def test_configurations_walk():
 
 
 def reference_flip(inst, tau0, rule, cap):
-    """FLIP straight from the model's improving-move list: the ordered
+    """FLIP straight from the reference improving-move list: the ordered
     candidates give first, the first maximum gives best, and random draws
     from the rule's seeded stream."""
     rng = random.Random(f"flip:{rule.seed}")
     tau, steps = tuple(tau0), []
     while True:
-        cands = fb.improving_moves(inst, tau)
+        cands = improving_set(inst, tau)
         if len(steps) >= cap or not cands:
             return steps, bool(cands)
         if rule.variant == "first":
@@ -194,7 +197,7 @@ def reference_flip(inst, tau0, rule, cap):
         else:
             move, delta = cands[rng.randrange(len(cands))]
         steps.append((move, int(delta * inst.denom)))
-        tau = fb.apply_move(tau, move)
+        tau = tau[:move.v] + (move.q,) + tau[move.v + 1:]
 
 
 def _assert_python_ints(trace):

@@ -53,6 +53,18 @@ def test_parse_config_errors():
         ExperimentConfig(mode="scaling", n_grid=())
 
 
+def test_parse_config_rejects_a_repeated_key():
+    # the last value once won silently: this read as mode rank, k 3
+    with pytest.raises(fb.HarnessError, match="config key 'k' on line 3 repeats line 2"):
+        fb.parse_config("mode scaling\nk 2\nk 3\nmode rank\n")
+    with pytest.raises(fb.HarnessError, match="config key 'mode' on line 5 repeats line 1"):
+        fb.parse_config("mode scaling\n# mode rank\n\nk 2\nmode rank\n")
+    # a repeat is an error even with the same value; comments are not keys
+    with pytest.raises(fb.HarnessError, match="config key 'k' on line 3 repeats line 2"):
+        fb.parse_config("mode scaling\nk 3\nk 3\n")
+    assert fb.parse_config("mode scaling\n# k 2\n\nk 3\n").k == 3
+
+
 @pytest.mark.parametrize("line, message", [
     ("rule worst", "rule 'worst'"),
     ("k 1", "k=1"),

@@ -133,21 +133,6 @@ def test_chunk_boundaries(monkeypatch):
                                  steps=tuple(forged)))
 
 
-def test_improving_moves_is_one_kernel_call_over_all_candidates():
-    rng = random.Random("improving")
-    for k in (2, 3, 5):
-        inst = fb.make_instance("gnp", 11, k, fb.SmoothingProfile(phi=1, seed=k), p=0.5)
-        tau = tuple(rng.randint(1, k) for _ in range(11))
-        want = []
-        for v in range(11):
-            for q in range(1, k + 1):
-                if q != tau[v]:
-                    ((_, d),) = definition_steps(inst, tau, [fb.Move(v, tau[v], q)])
-                    if d > 0:
-                        want.append((fb.Move(v, tau[v], q), Fraction(d, inst.denom)))
-        assert fb.improving_moves(inst, tau) == want
-
-
 def test_beyond_int64_stays_python_ints():
     # denom 2**70 puts the weights on Python ints; recorded deltas are
     # compared as Python ints, never cast to int64

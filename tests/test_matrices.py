@@ -16,7 +16,8 @@ def test_step_columns_score_the_improvements():
         trace = run_random(10, random.Random(seed).choice([2, 3, 4]), seed)
         m = fb.build_M(trace)
         assert m.n_cols == len(trace)
-        sums = fb.weighted_column_sums(m, trace.instance.weight_nums)
+        nums = trace.instance.weight_nums
+        sums = tuple(sum(val * nums[r] for r, val in col) for col in m.cols)
         assert sums == trace.delta_nums
 
 

@@ -11,7 +11,7 @@ import flipbench as fb
 from flipbench.model import (check_configuration, parse_configuration,
                              validate_move)
 
-from conftest import random_tau0, smoothed_instance
+from conftest import improving_set, play_move, random_tau0, smoothed_instance
 
 
 def test_delta_matches_hamiltonian_difference():
@@ -24,8 +24,7 @@ def test_delta_matches_hamiltonian_difference():
         v = rng.randrange(n)
         q = rng.choice([x for x in range(1, k + 1) if x != tau[v]])
         move = fb.Move(v, tau[v], q)
-        d = fb.move_delta(inst, tau, move)
-        tau2 = fb.apply_move(tau, move)
+        d, tau2 = play_move(inst, tau, move)
         assert d == fb.hamiltonian(inst, tau2) - fb.hamiltonian(inst, tau)
         assert d == fb.cut_value(inst, tau2) - fb.cut_value(inst, tau)
 
@@ -51,14 +50,14 @@ def test_improving_moves_brute_force():
         n, k = rng.randint(3, 7), rng.choice([2, 3])
         inst = smoothed_instance(n, k, seed)
         tau = random_tau0(n, k, seed)
-        got = fb.improving_moves(inst, tau)
+        got = improving_set(inst, tau)
         want = []
         for v in range(n):
             for q in range(1, k + 1):
                 if q == tau[v]:
                     continue
                 m = fb.Move(v, tau[v], q)
-                d = fb.move_delta(inst, tau, m)
+                d, _ = play_move(inst, tau, m)
                 if d > 0:
                     want.append((m, d))
         assert got == want
@@ -84,6 +83,8 @@ _INVALID_INSTANCES = [
     ({"edges": ((0, 1),), "weight_nums": (10 ** 29,)}, "weight magnitude exceeds 1"),
     ({"edges": ((0, 1),), "weight_nums": (1,), "denom": 3}, "positive power of two"),
     ({"edges": ((0, 1),), "weight_nums": (1,), "complete": True}, "complete flag set"),
+    ({"edges": ((0, 1),), "weight_nums": (1,), "phi": Fraction(0)}, "phi must be positive"),
+    ({"edges": ((0, 1),), "weight_nums": (1,), "phi": Fraction(-5)}, "phi must be positive"),
     # the first offending edge in edge order wins, then the edge checks
     # before the weights
     ({"edges": ((0, 1), (2, 2), (1, 2), (0, 1)), "weight_nums": (1, 1, 1, 1)}, "loop edge 2"),
@@ -107,18 +108,9 @@ def test_move_validation():
         validate_move(inst, tau, fb.Move(0, 1, 1))   # p == q
     with pytest.raises(fb.InvalidMoveError):
         validate_move(inst, tau, fb.Move(9, 1, 2))   # out of range
-    with pytest.raises(fb.InvalidMoveError):
-        fb.apply_move(tau, fb.Move(0, 2, 3))
-    assert fb.apply_move(tau, fb.Move(0, 1, 2)) == (2, 2, 3, 1)
-
-
-def test_apply_move_rejects_vertices_and_parts_out_of_range():
-    # a negative vertex once moved the last one, and part 0 was accepted
-    for tau, move in (((1, 2), fb.Move(-1, 2, 1)), ((1, 2), fb.Move(5, 1, 2)),
-                      ((1, 2), fb.Move(2, 1, 2)), ((1, 2), fb.Move(0, 1, 0)),
-                      ((1, 2), fb.Move(0, 1, -3))):
-        with pytest.raises(fb.InvalidMoveError):
-            fb.apply_move(tau, move)
+    with pytest.raises(fb.ReplayError):
+        play_move(inst, tau, fb.Move(0, 2, 3))
+    assert play_move(inst, tau, fb.Move(0, 1, 2))[1] == (2, 2, 3, 1)
 
 
 def test_configuration_helpers():
@@ -140,7 +132,7 @@ def test_move_delta_num_sign_convention():
     # neighbors: 0 in departed part (+5), 2 in destination part (-(-3))
     step = fb.replay(inst, tau, [fb.Move(1, 1, 2)])
     assert fb.build_M(step).cols[0] == ((0, 1), (1, -1))
-    assert fb.move_delta(inst, tau, fb.Move(1, 1, 2)) == Fraction(5 + 3, inst.denom)
+    assert play_move(inst, tau, fb.Move(1, 1, 2))[0] == Fraction(5 + 3, inst.denom)
 
 
 def test_edge_index_and_neighbors():

@@ -14,15 +14,8 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flipbench"
 
-# kept although only tests and acceptance criteria call them
-ALLOWED = {
-    # test reference: the brute-force improving set
-    "improving_moves",
-    # named by acceptance criteria 1, 2 and 6
-    "move_delta", "apply_move", "weighted_column_sums", "find_alpha_cyclic_block",
-    # the paper's good-arc definition, checked against certificate witnesses
-    "is_good_arc",
-}
+# kept although only tests call it: ROADMAP item 6 makes it the half block rule
+ALLOWED = {"find_alpha_cyclic_block"}
 
 
 def _used_names(node):
@@ -69,10 +62,17 @@ def definitions_without_callers():
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         uses.append((None, _used_names(ast.parse(path.read_text()))))
     return sorted(qualified for qualified, name, own in defined
-                  if name not in ALLOWED
-                  and not any(name in names for unit, names in uses if unit not in own))
+                  if not any(name in names for unit, names in uses if unit not in own))
 
 
 def test_every_module_level_definition_has_a_caller():
-    unused = definitions_without_callers()
+    unused = [q for q in definitions_without_callers() if q.rpartition(".")[2] not in ALLOWED]
     assert not unused, f"only tests call {unused}"
+
+
+def test_every_allowance_is_still_needed():
+    # an allowed name must still be defined in src/flipbench and still have
+    # no caller there or in perfbench/, so a stale allowance fails here
+    names = {q.rpartition(".")[2] for q in definitions_without_callers()}
+    stale = sorted(ALLOWED - names)
+    assert not stale, f"remove {stale} from ALLOWED: gone or called now"
