@@ -17,9 +17,7 @@ from .analysis import (BlockNotFoundError, BlockView, Cycle, CycleSet, Pair,
 from .matrices import SignMatrix, build_M, build_P, exact_rank
 from .certificates import (Arc, CertificateError, CertificateGraph,
                            build_3cut_certificate, build_half_certificate,
-                           build_k2_certificate, certify, is_tricky,
-                           leaping_cycle, neighborwise_arcs_3cut,
-                           validate_certificate)
+                           build_k2_certificate, certify, validate_certificate)
 from .harness import (ExperimentConfig, HarnessError, approx_check,
                       brute_force_opt_num, epsilon_bound, exp_mc,
                       exp_rank_campaign, exp_scaling, mc_slow_bound,

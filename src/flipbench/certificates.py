@@ -16,6 +16,8 @@ Three constructions are provided:
   * k=3 complete graphs: leaping-cycle windows over the cyclic blocks of
     every cyclic vertex;
   * general k: one arc per cyclic vertex, then break functional cycles.
+The first two read one run list per cyclic vertex: its time-steps,
+split into runs at acyclic steps, one run per cyclic block it moves in.
 
 Every construction is re-validated against the actual matrix rather than
 trusted; validate_certificate uses its own elimination, mod a prime other
@@ -37,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (BlockView, Cycle, classify_cyclic, cyclic_acyclic_blocks,
-                       find_critical_block, occurrence_stats, two_critical_block)
+from .analysis import (BlockView, Cycle, classify_cyclic, find_critical_block,
+                       occurrence_stats, two_critical_block)
 from .engine import Trace
 from .matrices import build_P, exact_rank
 from .model import ModelError
@@ -106,25 +108,23 @@ def _witness_heads(trace: Trace) -> dict:
     return trace.derived("witnesses", build)
 
 
-# --- the cyclic block decomposition, per vertex ------------------------------
+# --- the cyclic runs, per vertex --------------------------------------------
 
-def _cyclic_segments(trace: Trace):
-    """(cyclic blocks, occ, block_of, acyclic), built once per trace:
-    occ[v][i] lists v's time-steps in cyclic block i, for each block v
-    moves in, ascending, and occ's keys are exactly the cyclic vertices;
-    block_of maps each time-step in a cyclic block to that block's index;
-    acyclic is the set of the other moving vertices."""
-    def build():
-        moves = trace.moves
-        segments = [s for s in cyclic_acyclic_blocks(moves, trace.instance.k) if s.special]
-        occ: dict = {}
-        block_of: dict = {}
-        for i, s in enumerate(segments):
-            for t in range(s.t1, s.t2 + 1):
-                block_of[t] = i
-                occ.setdefault(moves[t - 1].v, {}).setdefault(i, []).append(t)
-        return segments, occ, block_of, frozenset(m.v for m in moves) - occ.keys()
-    return trace.derived("cyclic", build)
+def _cyclic_runs(moves, k: int):
+    """({v: v's 1-based time-steps, split into runs}, acyclic) for the
+    cyclic vertices v, where acyclic is the set of the other moving
+    vertices.  Each run is v's steps in one of its cyclic blocks: two
+    steps of v share a block iff no acyclic step lies between them, so a
+    run is keyed by the count of acyclic steps before it."""
+    _, acyclic = classify_cyclic(moves, k)
+    runs: dict = {}
+    acyclic_steps = 0
+    for t, m in enumerate(moves, start=1):
+        if m.v in acyclic:
+            acyclic_steps += 1
+        else:
+            runs.setdefault(m.v, {}).setdefault(acyclic_steps, []).append(t)
+    return {v: list(by_gap.values()) for v, by_gap in runs.items()}, acyclic
 
 
 # --- k=2: the functional certificate -----------------------------------------
@@ -178,14 +178,13 @@ def build_k2_certificate(trace: Trace, beta: Beta):
     # transition blocks of each vertex, head = a singleton in the gap; at
     # k=2 the cyclic blocks are the transition blocks, since a vertex is
     # cyclic iff it moves at least twice
-    _, occ, _, _ = _cyclic_segments(trace)
+    runs, _ = _cyclic_runs(moves, 2)
     arcs_by_tail: dict = {}
     for v in sorted(stats.repeating):
         tree_arc = tree[v]
         gap_arcs = []
-        blocks_v = list(occ[v].values())
-        for times_a, times_b in zip(blocks_v, blocks_v[1:]):
-            t_a, t_b = times_a[-1], times_b[0]
+        for run_a, run_b in zip(runs[v], runs[v][1:]):
+            t_a, t_b = run_a[-1], run_b[0]
             cands = sorted(u for u in {moves[t - 1].v for t in range(t_a + 1, t_b)}
                            & stats.singletons
                            if inst.edge_index(u, v) is not None)
@@ -205,123 +204,80 @@ def build_k2_certificate(trace: Trace, beta: Beta):
 
 # --- k=3 complete graphs: leaping cycles -------------------------------------
 
-def leaping_cycle(trace: Trace, v: int, t1: int, t2: int, t3: int) -> Cycle:
-    """A leaping cycle over v spanning its three given cyclic blocks (k=3).
+def _leaping_cycle(moves, run1, run2, run3) -> Cycle:
+    """A leaping cycle over the vertex of three of its cyclic runs (k=3).
 
-    Case analysis over the part trajectory after the last occurrence t1'
-    of v in the first block: a direct reverse move gives a 2-cycle; a
-    move back into the starting part via the third part forces an
-    intermediate move and gives a 3-cycle; otherwise the last occurrence
-    in the second block and the first in the third form a 2-cycle.
+    Case analysis over the part trajectory after the last step t1 of
+    run 1: a direct reverse move gives a 2-cycle; a move back into the
+    starting part via the third part forces an intermediate move and
+    gives a 3-cycle; otherwise the last step of run 2 and the first of
+    run 3 form a 2-cycle.
     """
-    if trace.instance.k != 3:
-        raise CertificateError("leaping cycles are defined for k=3")
-    moves = trace.moves
-    if not t1 < t2 < t3:
-        raise CertificateError("time-steps must be increasing")
-    _, occ, block_of, _ = _cyclic_segments(trace)
-    if v not in occ:
-        raise CertificateError(f"vertex {v} is not cyclic")
-    blocks = [block_of.get(t) for t in (t1, t2, t3)]
-    if None in blocks or len(set(blocks)) != 3:
-        raise CertificateError("time-steps must lie in three distinct cyclic blocks")
-    for t in (t1, t2, t3):
-        if moves[t - 1].v != v:
-            raise CertificateError(f"step {t} does not move vertex {v}")
-
-    tp1, tp2, tp3 = (occ[v][i][-1] for i in blocks)
-    a, b = moves[tp1 - 1].p, moves[tp1 - 1].q
+    t1 = run1[-1]
+    v, a, b = moves[t1 - 1]
     c = ({1, 2, 3} - {a, b}).pop()
-
-    # a cyclic vertex moves only inside cyclic blocks
-    span = [t for ts in occ[v].values() for t in ts if tp1 <= t <= tp3]
+    span = [t1, *run2, *run3]
     # Case 1: v moves b -> a somewhere in the span
     for t in span:
         if moves[t - 1].p == b and moves[t - 1].q == a:
-            return Cycle(v=v, times=(tp1, t), parts=(a, b))
+            return Cycle(v=v, times=(t1, t), parts=(a, b))
     # Case 2: v moves c -> a; a b -> c move is forced in between
     for t in span:
         if moves[t - 1].p == c and moves[t - 1].q == a:
             for tm in span:
-                if tp1 < tm < t and moves[tm - 1].p == b and moves[tm - 1].q == c:
-                    return Cycle(v=v, times=(tp1, tm, t), parts=(a, b, c))
+                if t1 < tm < t and moves[tm - 1].p == b and moves[tm - 1].q == c:
+                    return Cycle(v=v, times=(t1, tm, t), parts=(a, b, c))
             raise CertificateError("missing forced intermediate move; trace invalid")
-    # Case 3: last occurrence in block 2 and first in block 3 reverse each other
-    t_first3 = occ[v][blocks[2]][0]
-    m2, m3 = moves[tp2 - 1], moves[t_first3 - 1]
+    # Case 3: the last step of run 2 and the first of run 3 reverse each other
+    m2, m3 = moves[run2[-1] - 1], moves[run3[0] - 1]
     if m2.q == m3.p and m3.q == m2.p:
-        return Cycle(v=v, times=(tp2, t_first3), parts=(m2.p, m3.p))
+        return Cycle(v=v, times=(run2[-1], run3[0]), parts=(m2.p, m3.p))
     raise CertificateError("case analysis failed; trace violates the move chaining")
 
 
-def is_tricky(trace: Trace, cyc: Cycle) -> bool:
-    """A leaping 3-cycle is tricky iff its steps sit in three distinct
-    cyclic blocks and the acyclic vertices appearing in [t1,t2] and in
-    [t2,t3] coincide."""
+def _is_tricky(moves, cyc: Cycle, acyclic) -> bool:
+    """A leaping cycle is tricky iff it is a 3-cycle whose steps lie in
+    three distinct runs and the acyclic vertices moving in [t1,t2] and
+    in [t2,t3] coincide.  Equal sets imply distinct runs: t1 ends its
+    run, so [t1,t2] holds an acyclic step, and two steps of one run have
+    none between them."""
     if len(cyc.times) != 3:
-        raise CertificateError("trickiness is defined for 3-cycles")
-    moves = trace.moves
-    _, _, block_of, acyc = _cyclic_segments(trace)
-    blocks = [block_of.get(t) for t in cyc.times]
-    if None in blocks:
-        raise CertificateError("cycle steps must lie in cyclic blocks")
-    if len(set(blocks)) < 2:
-        raise CertificateError("cycle is not leaping")
-    if len(set(blocks)) != 3:
         return False
     t1, t2, t3 = cyc.times
-
-    def middle(lo, hi):
-        return {moves[t - 1].v for t in range(lo, hi + 1)} & acyc
-
-    return middle(t1, t2) == middle(t2, t3)
+    return ({moves[t - 1].v for t in range(t1, t2 + 1)} & acyclic
+            == {moves[t - 1].v for t in range(t2, t3 + 1)} & acyclic)
 
 
-def neighborwise_arcs_3cut(trace: Trace, v: int):
-    """Ordered good arcs out of a cyclic vertex, one per surviving window.
+def _window_arcs(trace: Trace, v: int, runs, acyclic):
+    """Ordered good arcs out of a cyclic vertex v, one per surviving window.
 
-    Groups v's cyclic blocks into overlapping windows of four, takes a
+    Groups v's cyclic runs into overlapping windows of four, takes a
     non-tricky leaping cycle per window (of the two candidates at most
     one can be tricky), finds an acyclic witness vertex in the window's
-    gaps, then filters to a neighbor-wise independent subsequence of at
-    least ceil(floor((b-1)/3)/2) arcs.  Complete graphs only: the
-    witness argument needs every edge {u,v} to exist.
+    gap, then filters to a neighbor-wise independent subsequence of at
+    least ceil(floor((b-1)/3)/2) arcs, for b runs.  Complete graphs
+    only: the witness argument needs every edge {u,v} to exist.
     """
-    inst = trace.instance
-    if inst.k != 3:
-        raise CertificateError("three-part certificate requires k=3")
-    if not inst.complete:
-        raise CertificateError("witness argument requires a complete graph")
     moves = trace.moves
-    segments, occ, _, acyc = _cyclic_segments(trace)
-    if v not in occ:
-        raise CertificateError(f"vertex {v} is not cyclic")
-    v_blocks = list(occ[v])
-    b = len(v_blocks)
-    big_r = (b - 1) // 3
+    big_r = (len(runs) - 1) // 3
     if big_r == 0:
         return []
 
     window_cycles = []
     window_gap_sets = []
-    for r in range(1, big_r + 1):
-        win = v_blocks[3 * (r - 1):3 * (r - 1) + 4]
-        last = [occ[v][i][-1] for i in win]
-        cand1 = leaping_cycle(trace, v, *last[:3])
-        cand2 = leaping_cycle(trace, v, *last[1:])
-        tricky1 = len(cand1.times) == 3 and is_tricky(trace, cand1)
-        chosen = cand2 if tricky1 else cand1
-        if tricky1 and len(chosen.times) == 3 and is_tricky(trace, chosen):
+    for r in range(big_r):
+        win = runs[3 * r:3 * r + 4]
+        cand1 = _leaping_cycle(moves, *win[:3])
+        cand2 = _leaping_cycle(moves, *win[1:])
+        tricky1 = _is_tricky(moves, cand1, acyclic)
+        if tricky1 and _is_tricky(moves, cand2, acyclic):
             raise CertificateError("both window cycles tricky; contract broken")
-        # gap vertex set: acyclic vertices strictly between consecutive
-        # window blocks of v
-        gap_vertices = set()
-        for i, j in zip(win, win[1:]):
-            for t in range(segments[i].t2 + 1, segments[j].t1):
-                if moves[t - 1].v in acyc:
-                    gap_vertices.add(moves[t - 1].v)
-        window_cycles.append(chosen)
-        window_gap_sets.append(gap_vertices)
+        # gap vertex set: acyclic vertices strictly between the window's
+        # first and fourth runs; steps inside a cyclic block move only
+        # cyclic vertices
+        gap = {moves[t - 1].v for t in range(win[0][-1] + 1, win[3][0])} & acyclic
+        window_cycles.append(cand2 if tricky1 else cand1)
+        window_gap_sets.append(gap)
 
     # leaping cycles are minimal cycles, so each is a column of P
     witness_heads = _witness_heads(trace)
@@ -364,10 +320,10 @@ def build_3cut_certificate(trace: Trace):
         raise CertificateError("construction requires k=3 on a complete graph")
     # the half builder also refuses a trace that is not improving
     half_graph, _ = build_half_certificate(trace, check_rank=False)
-    _, occ, _, _ = _cyclic_segments(trace)
+    runs, acyclic = _cyclic_runs(trace.moves, 3)
     arcs_by_tail = {}
-    for v in sorted(occ):
-        arcs = neighborwise_arcs_3cut(trace, v)
+    for v in sorted(runs):
+        arcs = _window_arcs(trace, v, runs[v], acyclic)
         if arcs:
             arcs_by_tail[v] = tuple(arcs)
     graph = CertificateGraph(arcs_by_tail=arcs_by_tail)
@@ -375,7 +331,7 @@ def build_3cut_certificate(trace: Trace):
         graph = half_graph
     bound = graph.n_arcs
     need = CERTIFICATE_MODES["3cut"].rank_bound(
-        occurrence_stats(trace.moves).s, len(occ), Beta.of(2))
+        occurrence_stats(trace.moves).s, len(runs), Beta.of(2))
     if bound < need:
         raise CertificateError(
             f"certificate bound {bound} below ceil(s/32)={need}; block not 2-critical?")

@@ -59,10 +59,9 @@ class Trace:
     """A validated move sequence with exact per-step improvements.
 
     _derived holds what derived() has built from the trace, once each:
-    the step matrix ("M"), the combined matrices (keyed by combine mode),
-    the certificate witness index read off P ("witnesses") and the
-    cyclic-block view ("cyclic"); it is created on first use, so a run
-    pays nothing.
+    the step matrix ("M"), the combined matrices (keyed by combine mode)
+    and the certificate witness index read off P ("witnesses"); it is
+    created on first use, so a run pays nothing.
     """
 
     instance: Instance

@@ -29,7 +29,7 @@ from .certificates import (CERTIFICATE_MODES, certificate_mode, certify,
 from .engine import DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip, slice_trace
 from .generator import GRAPH_KINDS, SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank
-from .model import (Instance, ModelError, cut_value, hamiltonian,
+from .model import (MAX_PARTS, Instance, ModelError, cut_value, hamiltonian,
                     random_configuration)
 from .thresholds import Beta
 
@@ -67,8 +67,9 @@ class ExperimentConfig:
             raise HarnessError("need at least one trial")
         if self.rule not in PIVOT_RULES:
             raise HarnessError(f"unknown pivot rule {self.rule!r}")
-        if self.k < 2:
-            raise HarnessError(f"part count k={self.k} must be at least 2")
+        if not 2 <= self.k <= MAX_PARTS:
+            raise HarnessError(
+                f"part count k={self.k} must be at least 2 and at most {MAX_PARTS}")
         if self.graph not in GRAPH_KINDS:
             raise HarnessError(f"unknown graph kind {self.graph!r}")
         if not 0 <= self.p <= 1:

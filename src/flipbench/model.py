@@ -22,6 +22,9 @@ import numpy as np
 
 DEFAULT_DENOM = 2 ** 20
 
+# the largest part count: sequence_chunks holds part labels in int32
+MAX_PARTS = 2 ** 31 - 1
+
 Configuration = tuple  # tuple[int, ...], parts[v] in 1..k
 
 
@@ -67,8 +70,8 @@ class Instance:
     def __post_init__(self):
         if self.n < 1:
             raise ModelError("need at least one vertex")
-        if self.k < 2:
-            raise ModelError("part count k must be at least 2")
+        if not 2 <= self.k <= MAX_PARTS:
+            raise ModelError(f"part count k must be at least 2 and at most {MAX_PARTS}")
         if self.denom <= 0 or self.denom & (self.denom - 1):
             raise ModelError("denominator must be a positive power of two")
         if self.phi <= 0:

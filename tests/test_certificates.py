@@ -9,8 +9,8 @@ from flipbench import certificates
 from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
-from conftest import (MatrixBuilds, good_arc, run_random, smoothed_instance,
-                      synth_3cut_blocks, synth_trace, synth_traces)
+from conftest import (MatrixBuilds, good_arc, random_moves, run_random,
+                      smoothed_instance, synth_3cut_blocks, synth_trace, synth_traces)
 
 
 def _k2_trace(moves, n=3):
@@ -153,34 +153,39 @@ def test_leaping_cycle_and_3cut_on_synthesized_blocks():
 
 def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
     # the window arcs, their leaping cycles and the trickiness checks all
-    # read the one cyclic-block view kept on the trace
+    # read the one run list the builder computes
     calls = []
-    real = certificates.cyclic_acyclic_blocks
+    real = certificates._cyclic_runs
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(certificates, "cyclic_acyclic_blocks", counted)
+    monkeypatch.setattr(certificates, "_cyclic_runs", counted)
     for sub in synth_3cut_blocks():
         calls.clear()
         fb.build_3cut_certificate(sub)
         assert len(calls) == 1
-        # the view's cyclic and acyclic sets are the one cyclic rule's
-        _, occ, _, acyc = certificates._cyclic_segments(sub)
-        assert (set(occ), acyc) == fb.classify_cyclic(sub.moves, 3)
+        # the runs' cyclic and acyclic sets are the one cyclic rule's
+        runs, acyclic = real(sub.moves, 3)
+        assert (set(runs), acyclic) == fb.classify_cyclic(sub.moves, 3)
 
-
-def test_leaping_cycle_argument_errors():
-    traces = synth_traces(12, 3, 5, 15, want=1, seed0=40)
-    trace = traces[0]
-    with pytest.raises(fb.CertificateError):
-        fb.leaping_cycle(trace, 0, 3, 2, 1)  # not increasing
-    k2 = run_random(8, 2, 2)
-    with pytest.raises(fb.CertificateError):
-        fb.leaping_cycle(k2, 0, 1, 2, 3)
-    with pytest.raises(fb.CertificateError):
-        fb.is_tricky(trace, fb.Cycle(v=0, times=(1, 2), parts=(1, 2)))
+    # each cyclic vertex's runs are its steps grouped by the cyclic
+    # segments of the block decomposition
+    split = 0
+    for seed in range(200):
+        k = 2 + seed % 4
+        moves = random_moves(10, k, 25, seed)
+        runs, acyclic = real(moves, k)
+        split += sum(len(r) >= 2 for r in runs.values())
+        grouped: dict = {}
+        for seg in fb.cyclic_acyclic_blocks(moves, k):
+            if seg.special:
+                for t in range(seg.t1, seg.t2 + 1):
+                    grouped.setdefault(moves[t - 1].v, {}).setdefault(seg.t1, []).append(t)
+        assert runs == {v: list(by_seg.values()) for v, by_seg in grouped.items()}
+        assert acyclic == {m.v for m in moves} - set(runs)
+    assert split >= 500
 
 
 def test_3cut_requires_complete_improving_k3():
@@ -234,11 +239,11 @@ def test_half_certificate_breaks_a_loop_at_its_smallest_node():
 
 
 def test_half_certificate_reads_only_the_cyclic_set(monkeypatch):
-    # one arc per cyclic vertex needs the cyclic set, not the block view
+    # one arc per cyclic vertex needs the cyclic set, not the run lists
     def refused(*args):
-        raise AssertionError("half certificate built the cyclic block view")
+        raise AssertionError("half certificate built the cyclic run lists")
 
-    monkeypatch.setattr(certificates, "cyclic_acyclic_blocks", refused)
+    monkeypatch.setattr(certificates, "_cyclic_runs", refused)
     built = 0
     for seed in range(10):
         trace = run_random(14, 4, 600 + seed)
@@ -393,6 +398,23 @@ def _leaping_k3_trace(b):
     return fb.replay(smoothed_instance(b, 3, 77), tuple([1] * b), moves)
 
 
+def test_window_passes_over_a_tricky_first_cycle():
+    # vertex 0 walks 1 -> 2 -> 3 -> 1 -> 2 in four runs; vertex 1 moves
+    # 1 -> 2 -> 3 across the first two gaps and vertex 2 once across the
+    # third.  The first candidate, the 3-cycle (1, 3, 5), sees {1} on both
+    # halves, so it is tricky; the window takes (3, 5, 7), which is not
+    moves = [fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 3), fb.Move(1, 2, 3),
+             fb.Move(0, 3, 1), fb.Move(2, 1, 2), fb.Move(0, 1, 2)]
+    trace = fb.replay(smoothed_instance(3, 3, 5), (1, 1, 1), moves)
+    runs, acyclic = certificates._cyclic_runs(moves, 3)
+    assert runs == {0: [[1], [3], [5], [7]]} and acyclic == {1, 2}
+    first = certificates._leaping_cycle(moves, *runs[0][:3])
+    assert first.times == (1, 3, 5) and certificates._is_tricky(moves, first, acyclic)
+    arcs = certificates._window_arcs(trace, 0, runs[0], acyclic)
+    assert arcs == [Arc(0, 1, (3, 5, 7))]
+    assert fb.validate_certificate(CertificateGraph({0: tuple(arcs)}), trace).valid
+
+
 def test_step_matrix_built_once_per_certificate(monkeypatch):
     # builders, validator and exact rank all read the one P kept on the
     # trace: one step matrix, one P and one cycle enumeration per trace
@@ -411,7 +433,8 @@ def test_step_matrix_built_once_per_certificate(monkeypatch):
 
     trace = _leaping_k3_trace(13)
     builds.reset()
-    arcs = fb.neighborwise_arcs_3cut(trace, 0)
+    runs, acyclic = certificates._cyclic_runs(trace.moves, 3)
+    arcs = certificates._window_arcs(trace, 0, runs[0], acyclic)
     assert len({arc.witness for arc in arcs}) >= 2
     graph = CertificateGraph(arcs_by_tail={0: tuple(arcs)})
     assert fb.validate_certificate(graph, trace).valid

@@ -1,5 +1,6 @@
 """Command-line interface smoke tests via main()."""
 
+import hashlib
 import random
 
 import pytest
@@ -230,7 +231,22 @@ def test_part_count_numpy_cannot_allocate_exits_2(tmp_path, capsys, command, nam
     flag = "--instance" if command == "run" else "--config"
     assert main([command, flag, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert err.startswith("error: part count k") and "at most 2147483647" in err
+
+
+@pytest.mark.parametrize("k, code", [(2 ** 31 - 1, 0), (3_000_000_000, 2)])
+def test_part_labels_fit_int32(tmp_path, capsys, k, code):
+    # the step-sign kernel holds part labels in int32: a trace moving to
+    # the top label of the largest part count is read, and a larger part
+    # count is refused with the instance, not with a traceback
+    text = f"2 {k} 1048576 1 0\n0 1 5\n"
+    ipath, tpath = tmp_path / "inst.txt", tmp_path / "trace.txt"
+    ipath.write_text(text)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    tpath.write_text(f"# instance {digest}\n# tau0 1 1\n1 0 1 {k} 5\n")
+    assert main(["analyze", "--instance", str(ipath), "--trace", str(tpath)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: part count k") if code else err == ""
 
 
 @pytest.mark.parametrize("beta", ["abc", "-1", "0"])

@@ -6,7 +6,8 @@ code over a corpus of traces.  A campaign that raises contributes its
 error message instead of a CSV.  The values were recorded before the
 certificate builders read their witness columns from the trace's P
 (`certify_3cut` before the certificate-mode table took over the rank
-campaign's per-k choices), and pin that refactors keep every output
+campaign's per-k choices, `window_arcs_3cut` before the 3cut windows
+read one run list per cyclic vertex), and pin that refactors keep every output
 byte-identical.
 """
 
@@ -14,7 +15,7 @@ import hashlib
 from fractions import Fraction
 
 import flipbench as fb
-from flipbench import harness
+from flipbench import certificates, harness
 from flipbench.cli import main
 from flipbench.harness import ExperimentConfig
 from flipbench.thresholds import Beta
@@ -30,6 +31,7 @@ GOLDEN = {
     "certify_k2": "a972f7d18801b9cb6a89dc5f9f3699d7fc7c05fe5ae1bb089a50d6f6202c55c8",
     "certify_half": "ccb7bb164c8ae6a54bfe3888fe70c91e3413cd0274975434fce55ce11eb5ba52",
     "certify_3cut": "8a147793511e6451fb3e16d83b07c250defe23657b018acae18116cc3457c233",
+    "window_arcs_3cut": "0c10cdaf9ff97b342fe33f42ee4b507a2140dc075a9bf8a00f41b9f846a8cfae",
 }
 
 CONFIGS = {
@@ -85,6 +87,25 @@ def _natural_k2_blocks():
         yield fb.slice_trace(trace, block.t1, block.t2)
 
 
+def _window_arcs_3cut():
+    """Each cyclic vertex's window arcs (v, u, witness), or the error that
+    refused them, over natural complete k=3 runs of every pivot rule: the
+    3cut corpus above certifies its half graph on every block, so only
+    this digest pins the leaping-cycle windows."""
+    rules = ("first", "best", "random")
+    for n in (16, 24, 32):
+        for seed in range(30):
+            trace = run_random(n, 3, 700 + seed, rule=rules[seed % 3])
+            runs, acyclic = certificates._cyclic_runs(trace.moves, 3)
+            for v in sorted(runs):
+                try:
+                    arcs = [(a.v, a.u, a.witness)
+                            for a in certificates._window_arcs(trace, v, runs[v], acyclic)]
+                except fb.CertificateError as exc:
+                    arcs = f"error: {exc}"
+                yield f"{n} {seed} {v} {arcs}"
+
+
 def compute_digests(tmp_path, capsys, monkeypatch) -> dict:
     out = {mode: _digest(_csv(ExperimentConfig(mode=mode, **kw)) for kw in configs)
            for mode, configs in CONFIGS.items()}
@@ -99,6 +120,7 @@ def compute_digests(tmp_path, capsys, monkeypatch) -> dict:
         tmp_path, capsys, (run_random(14, 4, 600 + s) for s in range(12)), "half"))
     out["certify_3cut"] = _digest(
         _certify_outputs(tmp_path, capsys, synth_3cut_blocks(), "3cut"))
+    out["window_arcs_3cut"] = _digest(_window_arcs_3cut())
     return out
 
 

@@ -68,6 +68,7 @@ def test_parse_config_rejects_a_repeated_key():
 @pytest.mark.parametrize("line, message", [
     ("rule worst", "rule 'worst'"),
     ("k 1", "k=1"),
+    ("k 2147483648", "k=2147483648 must be at least 2 and at most 2147483647"),
     ("graph ring", "graph kind 'ring'"),
     ("p 1.5", "p=1.5"),
     ("p -0.1", "p=-0.1"),

@@ -72,6 +72,7 @@ def test_instance_text_roundtrip():
 
 _INVALID_INSTANCES = [
     ({"k": 1, "edges": (), "weight_nums": ()}, "part count k must be at least 2"),
+    ({"k": 2 ** 31, "edges": (), "weight_nums": ()}, "and at most 2147483647"),
     ({"edges": ((0, 0),), "weight_nums": (1,)}, "loop edge 0"),
     ({"edges": ((1, 0),), "weight_nums": (1,)}, r"edge \(1,0\) out of range or unordered"),
     ({"edges": ((0, 3),), "weight_nums": (1,)}, r"edge \(0,3\) out of range or unordered"),
