@@ -115,44 +115,46 @@ def cycles(moves: Sequence[Move], k: int) -> CycleSet:
     A circuit whose departed parts are pairwise distinct is exactly a
     minimal one (any repeat splits off a sub-circuit), so enumeration
     extends partial chains only into unvisited parts and closes on the
-    start part.  Per-vertex output beyond DEFAULT_CYCLE_CAP sets the
-    truncation flag.
+    start part.  Chains grow depth-first on an explicit stack, each by v's
+    later moves out of the part it entered, in time order.  Per-vertex
+    output beyond DEFAULT_CYCLE_CAP sets the truncation flag.
     """
-    stats = occurrence_stats(moves)
+    occ: dict = {}  # vertex -> its moves as (time, p, q)
+    for t, (v, p, q) in enumerate(moves, start=1):
+        occ.setdefault(v, []).append((t, p, q))
     out = []
     truncated = False
-    for v in sorted(stats.times):
-        occ = [(t, moves[t - 1].p, moves[t - 1].q) for t in stats.times[v]]
-        found: list = []
-        overflow = False
+    for v in sorted(occ):
+        ev = occ[v]
+        if len(ev) < 2:
+            continue  # a cycle returns to its start part: two moves at least
+        leaving: dict = {}  # part -> indices into ev of the moves out of it
+        for j, (_, p, _) in enumerate(ev):
+            leaving.setdefault(p, []).append(j)
 
-        def extend(path, visited, start_part, last_q):
-            nonlocal overflow
-            if overflow:
-                return
-            last_idx = path[-1]
-            for j in range(last_idx + 1, len(occ)):
-                t, p, q = occ[j]
-                if p != last_q:
-                    continue
-                if q == start_part:
-                    if len(found) >= DEFAULT_CYCLE_CAP:
-                        overflow = True
-                        return
-                    sel = path + [j]
-                    found.append(Cycle(v=v, times=tuple(occ[i][0] for i in sel),
-                                       parts=tuple(occ[i][1] for i in sel)))
-                elif q not in visited and len(path) + 1 < k:
-                    extend(path + [j], visited | {q}, start_part, q)
+        def after(j):  # the moves that can extend a chain ending with ev[j]
+            ext = leaving.get(ev[j][2], ())
+            return iter(ext[bisect.bisect(ext, j):])
 
-        for i in range(len(occ)):
-            t, p, q = occ[i]
-            extend([i], {p, q}, p, q)
-            if overflow:
-                break
-        if overflow:
-            truncated = True
-        out.extend(found)
+        found = 0
+        for i, (_, start, head) in enumerate(ev):
+            path, visited, stack = [i], {start, head}, [after(i)]
+            while stack and found <= DEFAULT_CYCLE_CAP:
+                j = next(stack[-1], None)
+                if j is None:
+                    stack.pop()
+                    visited.discard(ev[path.pop()][2])
+                elif ev[j][2] == start:
+                    found += 1
+                    if found <= DEFAULT_CYCLE_CAP:
+                        sel = path + [j]
+                        out.append(Cycle(v=v, times=tuple(ev[x][0] for x in sel),
+                                         parts=tuple(ev[x][1] for x in sel)))
+                elif ev[j][2] not in visited and len(path) + 1 < k:
+                    path.append(j)
+                    visited.add(ev[j][2])
+                    stack.append(after(j))
+        truncated |= found > DEFAULT_CYCLE_CAP
     return CycleSet(cycles=tuple(out), truncated=truncated)
 
 
@@ -174,11 +176,11 @@ def _cyclic_steps(moves: Sequence[Move]) -> dict:
     return turned
 
 
-def classify_cyclic(moves: Sequence[Move], k: int):
+def classify_cyclic(moves: Sequence[Move]):
     """(C(L), A(L)): vertices covered / not covered by some cycle.
 
     A vertex is cyclic iff its part walk within the sequence revisits a
-    part, which avoids enumerating the cycles themselves.
+    part, which needs no part count and avoids enumerating the cycles.
     """
     cyclic = set(_cyclic_steps(moves))
     return cyclic, {m.v for m in moves} - cyclic
@@ -195,10 +197,10 @@ class Segment:
     special: bool  # True for cyclic runs (the transition runs at k=2)
 
 
-def cyclic_acyclic_blocks(moves: Sequence[Move], k: int):
-    """Decomposition into maximal cyclic / acyclic runs.  At k=2 a vertex
-    is cyclic iff it moves at least twice, so these are the transition /
-    singleton runs."""
+def cyclic_acyclic_blocks(moves: Sequence[Move]):
+    """Decomposition into maximal cyclic / acyclic runs, by classify_cyclic's
+    rule on the moves alone.  At k=2 a vertex is cyclic iff it moves at
+    least twice, so these are the transition / singleton runs."""
     cyc = _cyclic_steps(moves)
     segments = []
     t1 = 1
@@ -296,9 +298,9 @@ def two_critical_block(moves: Sequence[Move]) -> BlockView:
 
 # --- surplus and cyclic-heavy blocks ----------------------------------------
 
-def surplus(moves: Sequence[Move], k: int) -> int:
+def surplus(moves: Sequence[Move]) -> int:
     """z(L) = len(L) - sum of acyclic move counts - number of cyclic vertices."""
-    cyc, acyc = classify_cyclic(moves, k)
+    cyc, acyc = classify_cyclic(moves)
     stats = occurrence_stats(moves)
     return len(moves) - sum(stats.counts[v] for v in acyc) - len(cyc)
 

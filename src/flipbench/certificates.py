@@ -110,13 +110,14 @@ def _witness_heads(trace: Trace) -> dict:
 
 # --- the cyclic runs, per vertex --------------------------------------------
 
-def _cyclic_runs(moves, k: int):
+def _cyclic_runs(moves):
     """({v: v's 1-based time-steps, split into runs}, acyclic) for the
-    cyclic vertices v, where acyclic is the set of the other moving
-    vertices.  Each run is v's steps in one of its cyclic blocks: two
-    steps of v share a block iff no acyclic step lies between them, so a
-    run is keyed by the count of acyclic steps before it."""
-    _, acyclic = classify_cyclic(moves, k)
+    cyclic vertices v of classify_cyclic(moves), where acyclic is the set
+    of the other moving vertices.  Each run is v's steps in one of its
+    cyclic blocks: two steps of v share a block iff no acyclic step lies
+    between them, so a run is keyed by the count of acyclic steps before
+    it."""
+    _, acyclic = classify_cyclic(moves)
     runs: dict = {}
     acyclic_steps = 0
     for t, m in enumerate(moves, start=1):
@@ -178,7 +179,7 @@ def build_k2_certificate(trace: Trace, beta: Beta):
     # transition blocks of each vertex, head = a singleton in the gap; at
     # k=2 the cyclic blocks are the transition blocks, since a vertex is
     # cyclic iff it moves at least twice
-    runs, _ = _cyclic_runs(moves, 2)
+    runs, _ = _cyclic_runs(moves)
     arcs_by_tail: dict = {}
     for v in sorted(stats.repeating):
         tree_arc = tree[v]
@@ -320,7 +321,7 @@ def build_3cut_certificate(trace: Trace):
         raise CertificateError("construction requires k=3 on a complete graph")
     # the half builder also refuses a trace that is not improving
     half_graph, _ = build_half_certificate(trace, check_rank=False)
-    runs, acyclic = _cyclic_runs(trace.moves, 3)
+    runs, acyclic = _cyclic_runs(trace.moves)
     arcs_by_tail = {}
     for v in sorted(runs):
         arcs = _window_arcs(trace, v, runs[v], acyclic)
@@ -349,7 +350,7 @@ def build_half_certificate(trace: Trace, check_rank: bool = True):
     """
     if any(d <= 0 for d in trace.delta_nums):
         raise CertificateError("trace is not improving")
-    cyclic, _ = classify_cyclic(trace.moves, trace.instance.k)
+    cyclic, _ = classify_cyclic(trace.moves)
     first: dict = {}
     for (v, times), heads in _witness_heads(trace).items():
         first.setdefault(v, (times, heads))

@@ -61,7 +61,7 @@ def cmd_analyze(args) -> int:
     if args.report == "blocks":
         # at k=2 the cyclic vertices are the repeating ones, so the cyclic
         # runs are the transition blocks
-        for seg in cyclic_acyclic_blocks(moves, k):
+        for seg in cyclic_acyclic_blocks(moves):
             kind = ("transition" if k == 2 else "cyclic") if seg.special \
                 else ("singleton" if k == 2 else "acyclic")
             print(f"{kind} {seg.t1} {seg.t2}")
@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
         print(f"critical beta={beta} t1={block.t1} t2={block.t2} "
               f"ell={block.length} s={stats.s}")
     elif args.report == "cycles":
-        cyc, acyc = classify_cyclic(moves, k)
+        cyc, acyc = classify_cyclic(moves)
         print(f"cyclic {len(cyc)} acyclic {len(acyc)}")
         cycle_set = cycles(moves, k)
         for c in cycle_set.cycles:
@@ -86,9 +86,9 @@ def cmd_analyze(args) -> int:
             print(f"truncated at {DEFAULT_CYCLE_CAP} cycles per vertex")
     elif args.report == "surplus":
         stats = occurrence_stats(moves)
-        cyc, acyc = classify_cyclic(moves, k)
+        cyc, acyc = classify_cyclic(moves)
         print(f"ell {len(moves)} s {stats.s} cyclic {len(cyc)} "
-              f"acyclic {len(acyc)} surplus {surplus(moves, k)}")
+              f"acyclic {len(acyc)} surplus {surplus(moves)}")
     return 0
 
 

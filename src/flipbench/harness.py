@@ -34,6 +34,7 @@ from .model import (MAX_PARTS, Instance, ModelError, cut_value, hamiltonian,
 from .thresholds import Beta
 
 DEFAULT_ETA = 0.1
+MAX_BRUTE_FORCE_STATES = 4 ** 12  # approx mode holds them all: ~630 MB at peak
 
 
 class HarnessError(ModelError):
@@ -90,6 +91,9 @@ class ExperimentConfig:
         if self.mode == "approx":
             if max(self.n_grid) > 12:
                 raise HarnessError("approx mode requires n <= 12")
+            if self.k ** max(self.n_grid) > MAX_BRUTE_FORCE_STATES:
+                raise HarnessError(
+                    f"approx mode requires k^n <= 4^12; k={self.k}, n={max(self.n_grid)}")
             if phi_num < phi_den:
                 raise HarnessError("nonnegative weights need phi >= 1 with centers at 1/2")
             if self.graph != "complete":
@@ -275,7 +279,7 @@ def _rank_trial(args):
     block = CERTIFICATE_MODES[mode].block(trace.moves[:w], cfg.beta)
     sub = slice_trace(trace, block.t1, block.t2)
     stats = occurrence_stats(sub.moves)
-    cyc, _ = classify_cyclic(sub.moves, cfg.k)
+    cyc, _ = classify_cyclic(sub.moves)
     # the lemma's rank lower bound for the block, beside the certificate's own
     bound = CERTIFICATE_MODES[mode].rank_bound(stats.s, len(cyc), cfg.beta)
     # the certificate and the exact rank read the one P kept on sub
@@ -383,11 +387,11 @@ def brute_force_opt_num(inst: Instance) -> int:
     """Exact maximum cut-value numerator over all k^n configurations.
 
     Vectorized enumeration; integer weight numerators keep this exact.
-    Refused above n=12 (k^n explodes).
+    Refused above n=12 or MAX_BRUTE_FORCE_STATES configurations.
     """
-    if inst.n > 12:
-        raise HarnessError("brute force refused for n > 12")
     n, k = inst.n, inst.k
+    if n > 12 or k ** n > MAX_BRUTE_FORCE_STATES:
+        raise HarnessError(f"brute force refused for n > 12 or k^n > 4^12; k={k}, n={n}")
     total = k ** n
     codes = np.arange(total, dtype=np.int64)
     parts = np.empty((total, n), dtype=np.int8)
@@ -416,7 +420,7 @@ def _approx_trial(args):
 
 def approx_check(cfg: ExperimentConfig):
     """Brute-force OPT against FLIP's local optimum; the config has checked
-    n <= 12, phi >= 1 and a complete graph."""
+    n <= 12, k^n <= 4^12, phi >= 1 and a complete graph."""
     rows = _trials(cfg, _approx_trial)
     fields = ["n", "k", "phi", "trial", "opt", "local", "steps", "ok"]
     return fields, rows

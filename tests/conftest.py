@@ -2,11 +2,11 @@
 
 Instances come in two flavors: smoothed random ones (the generator's
 native output) and synthesized ones, where a dense valid move sequence
-is chosen first and edge weights making every step improving are found
-by linear programming.  The latter is the only practical way to obtain
-blocks with high repeat density (e.g. length >= 3 * #vertices) at desk
-scale, and is legitimate because the structural lemmas quantify over
-arbitrary improving sequences.
+is chosen first and exact integer edge weights making every step
+improving are found by a perceptron on the steps' sign rows.  The latter
+is the only practical way to obtain blocks with high repeat density
+(e.g. length >= 3 * #vertices) at desk scale, and is legitimate because
+the structural lemmas quantify over arbitrary improving sequences.
 """
 
 from __future__ import annotations
@@ -133,16 +133,26 @@ def random_moves(n: int, k: int, length: int, seed) -> tuple:
     return tuple(out)
 
 
-def synth_trace(n: int, k: int, s: int, length: int, seed: int,
-                min_margin: float = 1e-3):
-    """Improving trace with a dense move sequence, or None if infeasible.
+def _relabelled(tau) -> tuple:
+    """tau with its parts renamed in order of first appearance: two
+    configurations have the same H for every weighting iff this agrees."""
+    names: dict = {}
+    return tuple(names.setdefault(p, len(names)) for p in tau)
 
-    Samples a valid random walk over the first s vertices, then solves
-    max t s.t. M^T x >= t, |x| <= 1 and rounds the weights to the exact
-    grid; the replayed trace is verified to be strictly improving.
+
+def synth_trace(n: int, k: int, s: int, length: int, seed: int):
+    """Improving trace with a dense move sequence, or None if none is found.
+
+    Samples a valid random walk over the first s vertices, writes each
+    step's sign row from the definition (+1 on edges to the part left, -1
+    on edges to the part entered) and looks for integer weights x with
+    every row a.x > 0.  A walk whose configuration repeats up to a
+    relabelling of the parts has none: the steps between the two visits
+    sum to the zero column.  Otherwise a perceptron from x = 0 adds the
+    first row with a.x <= 0 until none is left, giving up after
+    10,000 updates.  x is scaled to the exact grid (|num| <= GRID) and the
+    replayed trace is verified to be strictly improving.
     """
-    from scipy.optimize import linprog
-
     rng = random.Random(f"synth:{seed}")
     tau = [rng.randint(1, k) for _ in range(n)]
     tau0 = tuple(tau)
@@ -155,9 +165,9 @@ def synth_trace(n: int, k: int, s: int, length: int, seed: int,
         tau[v] = q
     edges = fb.complete_edges(n)
     eidx = {e: i for i, e in enumerate(edges)}
-    m = len(edges)
     tau = list(tau0)
-    A = np.zeros((length, m))
+    seen = {_relabelled(tau)}
+    A = np.zeros((length, len(edges)), dtype=np.int64)
     for t, (v, pp, q) in enumerate(moves):
         for u in range(n):
             if u == v:
@@ -168,14 +178,19 @@ def synth_trace(n: int, k: int, s: int, length: int, seed: int,
             elif tau[u] == q:
                 A[t, e] = -1
         tau[v] = q
-    c = np.zeros(m + 1)
-    c[-1] = -1
-    a_ub = np.hstack([-A, np.ones((length, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(length),
-                  bounds=[(-1, 1)] * m + [(0, 2)], method="highs")
-    if not res.success or res.x[-1] < min_margin:
+        shape = _relabelled(tau)
+        if shape in seen:
+            return None
+        seen.add(shape)
+    x = np.zeros(len(edges), dtype=np.int64)
+    for _ in range(10_000):
+        short = np.flatnonzero(A @ x <= 0)
+        if not short.size:
+            break
+        x += A[short[0]]
+    else:
         return None
-    nums = tuple(int(round(x * GRID)) for x in res.x[:m])
+    nums = tuple((x * (GRID // int(np.abs(x).max()))).tolist())
     inst = fb.Instance(n=n, k=k, edges=edges, weight_nums=nums, denom=GRID,
                        phi=Fraction(1), complete=True)
     trace = fb.replay(inst, tau0, moves)
@@ -196,13 +211,12 @@ def synth_traces(n: int, k: int, s: int, length: int, want: int,
     return out
 
 
-def synth_3cut_blocks():
-    """The 2-critical k=3 blocks of synth_trace(12, 3, 5, 15, seed) over
-    seeds 0-149, each sliced to a trace of its own (ten of them)."""
+def synth_3cut_blocks(count: int) -> list:
+    """The 2-critical k=3 blocks of the first count accepted seeds of
+    synth_trace(12, 3, 5, 15, seed), from seed 0, each sliced to a trace
+    of its own.  Ten of them span seeds 0-149 and a hundred seeds 0-1047."""
     out = []
-    for seed in range(150):
-        trace = synth_trace(12, 3, 5, 15, seed)
-        if trace is not None:
-            block = fb.two_critical_block(trace.moves)
-            out.append(fb.slice_trace(trace, block.t1, block.t2))
+    for trace in synth_traces(12, 3, 5, 15, want=count):
+        block = fb.two_critical_block(trace.moves)
+        out.append(fb.slice_trace(trace, block.t1, block.t2))
     return out

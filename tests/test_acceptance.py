@@ -2,7 +2,7 @@
 
 Criteria 4 and 5 share three session-scoped corpora: natural k=2 critical
 blocks, synthesized k=3 2-critical blocks (dense move sequences made
-improving via linear programming; natural desk-scale runs never contain
+improving by exact integer weights; natural desk-scale runs never contain
 2-critical blocks), and natural k=4 traces.
 """
 
@@ -18,7 +18,7 @@ from flipbench.harness import ExperimentConfig
 from flipbench.thresholds import Beta
 
 from conftest import (play_move, random_moves, random_tau0, run_random,
-                      smoothed_instance, synth_trace)
+                      smoothed_instance, synth_3cut_blocks)
 
 BETA = Beta.sqrt_half()
 
@@ -54,18 +54,11 @@ def k2_blocks():
 
 @pytest.fixture(scope="session")
 def k3_blocks():
-    """>=100 2-critical blocks inside LP-synthesized improving sequences."""
-    out = []
-    seed = 0
-    while len(out) < 100 and seed < 4000:
-        trace = synth_trace(12, 3, 5, 15, seed)
-        seed += 1
-        if trace is None:
-            continue
-        block = fb.two_critical_block(trace.moves)
-        sub = fb.slice_trace(trace, block.t1, block.t2)
-        assert all(d > 0 for d in sub.delta_nums)
-        out.append(sub)
+    """The 100 2-critical blocks of synth_3cut_blocks (seeds 0-1047), each
+    inside a walk made improving by exact integer weights."""
+    out = synth_3cut_blocks(100)
+    assert len(out) == 100
+    assert all(d > 0 for sub in out for d in sub.delta_nums)
     return out
 
 
@@ -192,7 +185,7 @@ def test_criterion_5_rank_bounds(k2_blocks, k3_blocks, k4_traces):
             viol += 1
     assert len(k4_traces) >= 100
     for trace in k4_traces:
-        cyc, _ = fb.classify_cyclic(trace.moves, 4)
+        cyc, _ = fb.classify_cyclic(trace.moves)
         rank = fb.exact_rank(fb.build_P(trace, "cycles"))
         if rank < -(-len(cyc) // 2):
             viol += 1
@@ -223,7 +216,7 @@ def test_criterion_6_block_existence():
         moves = random_moves(n, k, k * n, 50_000 + seed)
         try:
             block = fb.find_alpha_cyclic_block(moves, k, Fraction(k), n)
-            cyc, _ = fb.classify_cyclic(block.seq, k)
+            cyc, _ = fb.classify_cyclic(block.seq)
             if not cyclic_ratio_qualifies(len(cyc), block.length, k,
                                           Fraction(k), n):
                 bad += 1
@@ -236,12 +229,12 @@ def test_criterion_6_block_existence():
         k = rng.choice([2, 3, 4])
         n = rng.randint(3, 10)
         moves = random_moves(n, k, rng.randint(2, 4 * n), 60_000 + seed)
-        cyc, _ = fb.classify_cyclic(moves, k)
-        z = fb.surplus(moves, k)
+        cyc, _ = fb.classify_cyclic(moves)
+        z = fb.surplus(moves)
         for _ in range(20):
             cut = rng.randint(1, len(moves) - 1)
-            z1 = fb.surplus(moves[:cut], k)
-            z2 = fb.surplus(moves[cut:], k)
+            z1 = fb.surplus(moves[:cut])
+            z2 = fb.surplus(moves[cut:])
             if z > z1 + z2 + (2 * k - 1) * len(cyc):
                 bad += 1
             splits += 1

@@ -66,7 +66,7 @@ def test_classify_cyclic_matches_cycle_cover():
         rng = random.Random(f"cc:{seed}")
         k = rng.choice([2, 3, 4])
         moves = random_moves(5, k, rng.randint(3, 14), 1000 + seed)
-        cyc, acyc = fb.classify_cyclic(moves, k)
+        cyc, acyc = fb.classify_cyclic(moves)
         covered = {c.v for c in fb.cycles(moves, k).cycles}
         assert cyc == covered
         stats = fb.occurrence_stats(moves)
@@ -92,11 +92,11 @@ def test_block_decompositions_alternate_and_cover():
         rng = random.Random(f"bd:{seed}")
         k = rng.choice([2, 3])
         moves = random_moves(6, k, rng.randint(5, 20), 2000 + seed)
-        segs = fb.cyclic_acyclic_blocks(moves, k)
+        segs = fb.cyclic_acyclic_blocks(moves)
         assert segs[0].t1 == 1 and segs[-1].t2 == len(moves)
         for a, b in zip(segs, segs[1:]):
             assert b.t1 == a.t2 + 1 and a.special != b.special
-        cyc, _ = fb.classify_cyclic(moves, k)
+        cyc, _ = fb.classify_cyclic(moves)
         for seg in segs:
             assert all((moves[t - 1].v in cyc) == seg.special
                        for t in range(seg.t1, seg.t2 + 1))
@@ -243,8 +243,8 @@ def test_block_view():
         fb.BlockView(parent=moves, t1=4, t2=11)
 
 
-def _surplus_by_definition(moves, k):
-    cyc, acyc = fb.classify_cyclic(moves, k)
+def _surplus_by_definition(moves):
+    cyc, acyc = fb.classify_cyclic(moves)
     stats = fb.occurrence_stats(moves)
     return len(moves) - sum(stats.counts[v] for v in acyc) - len(cyc)
 
@@ -254,12 +254,12 @@ def test_surplus_definition_and_max():
         rng = random.Random(f"sp:{seed}")
         k = rng.choice([2, 3, 4])
         moves = random_moves(5, k, rng.randint(3, 15), 5000 + seed)
-        assert fb.surplus(moves, k) == _surplus_by_definition(moves, k)
+        assert fb.surplus(moves) == _surplus_by_definition(moves)
         # m_L(t), the largest surplus of a length-t block
         t = rng.randint(1, len(moves))
         blocks = [moves[i:i + t] for i in range(len(moves) - t + 1)]
-        assert max(fb.surplus(b, k) for b in blocks) == \
-            max(_surplus_by_definition(b, k) for b in blocks)
+        assert max(fb.surplus(b) for b in blocks) == \
+            max(_surplus_by_definition(b) for b in blocks)
 
 
 def test_cyclic_ratio_qualifies_oracle():
@@ -289,7 +289,7 @@ def _first_alpha_cyclic_window(moves, k, alpha, n):
     by classifying every window afresh; None when no window qualifies."""
     for start in range(len(moves)):
         for end in range(start, len(moves)):
-            cyc, _ = fb.classify_cyclic(moves[start:end + 1], k)
+            cyc, _ = fb.classify_cyclic(moves[start:end + 1])
             if cyclic_ratio_qualifies(len(cyc), end - start + 1, k, alpha, n):
                 return start + 1, end + 1
     return None
@@ -311,7 +311,7 @@ def test_find_alpha_cyclic_block_on_full_windows():
         moves = random_moves(n, k, k * n, 6000 + seed)
         block = fb.find_alpha_cyclic_block(moves, k, Fraction(k), n)
         sub = block.seq
-        cyc, _ = fb.classify_cyclic(sub, k)
+        cyc, _ = fb.classify_cyclic(sub)
         assert cyclic_ratio_qualifies(len(cyc), len(sub), k, Fraction(k), n)
         assert (block.t1, block.t2) == _first_alpha_cyclic_window(moves, k, Fraction(k), n)
     # a prefix of vertices moving once pushes the first qualifying window

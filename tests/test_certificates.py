@@ -10,7 +10,7 @@ from flipbench.certificates import Arc, CertificateGraph
 from flipbench.thresholds import Beta
 
 from conftest import (MatrixBuilds, good_arc, random_moves, run_random,
-                      smoothed_instance, synth_3cut_blocks, synth_trace, synth_traces)
+                      smoothed_instance, synth_3cut_blocks, synth_traces)
 
 
 def _k2_trace(moves, n=3):
@@ -137,11 +137,9 @@ def test_k2_certificate_refuses_non_critical_blocks():
 
 
 def test_leaping_cycle_and_3cut_on_synthesized_blocks():
-    traces = synth_traces(12, 3, 5, 15, want=4, seed0=0)
-    assert len(traces) == 4
-    for trace in traces:
-        block = fb.two_critical_block(trace.moves)
-        sub = fb.slice_trace(trace, block.t1, block.t2)
+    subs = synth_3cut_blocks(4)
+    assert len(subs) == 4
+    for sub in subs:
         assert all(d > 0 for d in sub.delta_nums)
         graph, bound = fb.build_3cut_certificate(sub)
         stats = fb.occurrence_stats(sub.moves)
@@ -162,13 +160,13 @@ def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(certificates, "_cyclic_runs", counted)
-    for sub in synth_3cut_blocks():
+    for sub in synth_3cut_blocks(10):
         calls.clear()
         fb.build_3cut_certificate(sub)
         assert len(calls) == 1
         # the runs' cyclic and acyclic sets are the one cyclic rule's
-        runs, acyclic = real(sub.moves, 3)
-        assert (set(runs), acyclic) == fb.classify_cyclic(sub.moves, 3)
+        runs, acyclic = real(sub.moves)
+        assert (set(runs), acyclic) == fb.classify_cyclic(sub.moves)
 
     # each cyclic vertex's runs are its steps grouped by the cyclic
     # segments of the block decomposition
@@ -176,10 +174,10 @@ def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
     for seed in range(200):
         k = 2 + seed % 4
         moves = random_moves(10, k, 25, seed)
-        runs, acyclic = real(moves, k)
+        runs, acyclic = real(moves)
         split += sum(len(r) >= 2 for r in runs.values())
         grouped: dict = {}
-        for seg in fb.cyclic_acyclic_blocks(moves, k):
+        for seg in fb.cyclic_acyclic_blocks(moves):
             if seg.special:
                 for t in range(seg.t1, seg.t2 + 1):
                     grouped.setdefault(moves[t - 1].v, {}).setdefault(seg.t1, []).append(t)
@@ -202,7 +200,7 @@ def test_half_certificate_on_natural_k4_traces():
     done = 0
     for seed in range(20):
         trace = run_random(14, 4, 600 + seed)
-        cyc, _ = fb.classify_cyclic(trace.moves, 4)
+        cyc, _ = fb.classify_cyclic(trace.moves)
         graph, bound = fb.build_half_certificate(trace, check_rank=True)
         assert 2 * bound >= len(cyc)
         verdict = fb.validate_certificate(graph, trace)
@@ -248,7 +246,7 @@ def test_half_certificate_reads_only_the_cyclic_set(monkeypatch):
     for seed in range(10):
         trace = run_random(14, 4, 600 + seed)
         graph, _ = fb.build_half_certificate(trace, check_rank=False)
-        cyc, _ = fb.classify_cyclic(trace.moves, 4)
+        cyc, _ = fb.classify_cyclic(trace.moves)
         assert set(graph.arcs_by_tail) <= cyc and 2 * graph.n_arcs >= len(cyc)
         built += graph.n_arcs > 0
     assert built >= 3
@@ -268,7 +266,7 @@ def test_valid_verdict_bound_is_the_validated_graph():
     # k2 bound is the lemma's max{s2, ceil(beta/(1+beta) s1)}, which its
     # graph meets or exceeds; 3cut and half report their graph's size
     beta = Beta.sqrt_half()
-    blocks = {"k2": _collect_k2_blocks(8, seed0=100), "3cut": synth_3cut_blocks(),
+    blocks = {"k2": _collect_k2_blocks(8, seed0=100), "3cut": synth_3cut_blocks(10),
               "half": [run_random(14, 4, 600 + s) for s in range(10)]}
     assert set(blocks) == set(fb.certificates.CERTIFICATE_MODES)
     assert len(blocks["3cut"]) == 10
@@ -406,7 +404,7 @@ def test_window_passes_over_a_tricky_first_cycle():
     moves = [fb.Move(0, 1, 2), fb.Move(1, 1, 2), fb.Move(0, 2, 3), fb.Move(1, 2, 3),
              fb.Move(0, 3, 1), fb.Move(2, 1, 2), fb.Move(0, 1, 2)]
     trace = fb.replay(smoothed_instance(3, 3, 5), (1, 1, 1), moves)
-    runs, acyclic = certificates._cyclic_runs(moves, 3)
+    runs, acyclic = certificates._cyclic_runs(moves)
     assert runs == {0: [[1], [3], [5], [7]]} and acyclic == {1, 2}
     first = certificates._leaping_cycle(moves, *runs[0][:3])
     assert first.times == (1, 3, 5) and certificates._is_tricky(moves, first, acyclic)
@@ -423,7 +421,7 @@ def test_step_matrix_built_once_per_certificate(monkeypatch):
     multi = 0
     for seed in range(10):
         trace = run_random(14, 4, 600 + seed)
-        cyc, _ = fb.classify_cyclic(trace.moves, 4)
+        cyc, _ = fb.classify_cyclic(trace.moves)
         builds.reset()
         graph, _ = fb.build_half_certificate(trace, check_rank=True)
         assert fb.validate_certificate(graph, trace).valid
@@ -433,7 +431,7 @@ def test_step_matrix_built_once_per_certificate(monkeypatch):
 
     trace = _leaping_k3_trace(13)
     builds.reset()
-    runs, acyclic = certificates._cyclic_runs(trace.moves, 3)
+    runs, acyclic = certificates._cyclic_runs(trace.moves)
     arcs = certificates._window_arcs(trace, 0, runs[0], acyclic)
     assert len({arc.witness for arc in arcs}) >= 2
     graph = CertificateGraph(arcs_by_tail={0: tuple(arcs)})
@@ -441,13 +439,8 @@ def test_step_matrix_built_once_per_certificate(monkeypatch):
     assert builds.counts() == one
     assert len([c for c in fb.cycles(trace.moves, 3).cycles if c.v == 0]) >= 2
 
-    subs = []
-    for seed in range(60):
-        synth = synth_trace(12, 3, 5, 15, seed)
-        if synth is not None:
-            block = fb.two_critical_block(synth.moves)
-            subs.append(fb.slice_trace(synth, block.t1, block.t2))
-    assert len(subs) >= 3
+    subs = synth_3cut_blocks(4)
+    assert len(subs) == 4
     for sub in subs:
         builds.reset()
         assert fb.certify(sub, "3cut", Beta.sqrt_half())[2].valid

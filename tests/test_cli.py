@@ -6,6 +6,7 @@ import random
 import pytest
 
 import flipbench as fb
+from flipbench import harness
 from flipbench.cli import main
 from flipbench.thresholds import Beta
 
@@ -134,6 +135,20 @@ def test_analyze_marks_a_truncated_cycle_set(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_analyze_cycles_of_a_long_walk(tmp_path, capsys):
+    # vertex 0 walks through 1100 parts and back to the first: one minimal
+    # cycle of 1100 steps, found without recursing once per step
+    inst = fb.Instance.from_text("2 3000 1048576 1 0\n0 1 5\n")
+    parts = list(range(1, 1101)) + [1]
+    trace = fb.replay(inst, (1, 1), [fb.Move(0, p, q) for p, q in zip(parts, parts[1:])])
+    ipath, tpath = _write_trace(tmp_path, trace)
+    assert main(["analyze", "--instance", ipath, "--trace", tpath,
+                 "--report", "cycles"]) == 0
+    times = ",".join(map(str, range(1, 1101)))
+    assert capsys.readouterr().out.splitlines() == [
+        "cyclic 1 acyclic 0", f"cycle v=0 times={times} parts={times}"]
+
+
 def test_certify_half_mode(tmp_path, capsys):
     trace = run_random(12, 4, 606)
     ipath, tpath = _write_trace(tmp_path, trace)
@@ -150,6 +165,21 @@ def test_experiment_csv(tmp_path):
     assert main(["experiment", "--config", str(cfgp), "--out", str(outp)]) == 0
     text = outp.read_text()
     assert text.startswith("row_type,") and "summary" in text
+
+
+def test_approx_config_past_the_brute_force_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # 5^12 configurations would not fit in memory: the config is refused
+    # before any trial runs
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_flip_trial", no_trial)
+    monkeypatch.setattr(harness, "brute_force_opt_num", no_trial)
+    cfgp = tmp_path / "approx.cfg"
+    cfgp.write_text("mode approx\nn_grid 12\nk 5\ntrials 1\n")
+    assert main(["experiment", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k^n <= 4^12" in err and "Traceback" not in err
 
 
 def test_bad_instance_file_exits_2(tmp_path, capsys):

@@ -96,7 +96,7 @@ def _window_arcs_3cut():
     for n in (16, 24, 32):
         for seed in range(30):
             trace = run_random(n, 3, 700 + seed, rule=rules[seed % 3])
-            runs, acyclic = certificates._cyclic_runs(trace.moves, 3)
+            runs, acyclic = certificates._cyclic_runs(trace.moves)
             for v in sorted(runs):
                 try:
                     arcs = [(a.v, a.u, a.witness)
@@ -119,7 +119,7 @@ def compute_digests(tmp_path, capsys, monkeypatch) -> dict:
     out["certify_half"] = _digest(_certify_outputs(
         tmp_path, capsys, (run_random(14, 4, 600 + s) for s in range(12)), "half"))
     out["certify_3cut"] = _digest(
-        _certify_outputs(tmp_path, capsys, synth_3cut_blocks(), "3cut"))
+        _certify_outputs(tmp_path, capsys, synth_3cut_blocks(10), "3cut"))
     out["window_arcs_3cut"] = _digest(_window_arcs_3cut())
     return out
 

@@ -13,7 +13,7 @@ from flipbench.harness import (CONFIG_FIELDS, ExperimentConfig, derive_seed,
                                exp_scaling, window_length)
 from flipbench.thresholds import Beta
 
-from conftest import MatrixBuilds
+from conftest import MatrixBuilds, smoothed_instance
 
 
 def test_parse_config_full():
@@ -96,6 +96,12 @@ def test_approx_config_rejects_n_above_12():
     with pytest.raises(fb.HarnessError, match="approx mode requires n <= 12"):
         fb.parse_config("mode approx\nn_grid 6,13\n")
     assert fb.parse_config("mode approx\nn_grid 6,12\n").n_grid == (6, 12)
+    # the brute force holds all k^n configurations at once: 5^12 would
+    # take about 9 GB, so the config refuses past 4^12
+    with pytest.raises(fb.HarnessError, match=r"requires k\^n <= 4\^12; k=5, n=12"):
+        fb.parse_config("mode approx\nn_grid 6,12\nk 5\n")
+    assert fb.parse_config("mode approx\nn_grid 12\nk 4\n").k == 4
+    assert fb.parse_config("mode approx\nn_grid 10\nk 5\n").k == 5
 
 
 def test_approx_config_checks_phi_exactly():
@@ -235,6 +241,9 @@ def test_approx_mode_all_hold():
     assert len(rows) == 5 and all(r["ok"] == 1 for r in rows)
     with pytest.raises(fb.HarnessError):
         fb.approx_check(ExperimentConfig(mode="approx", n_grid=(20,)))
+    # the brute force refuses past 4^12 configurations itself, before it allocates
+    with pytest.raises(fb.HarnessError, match=r"k\^n > 4\^12; k=5, n=11"):
+        fb.brute_force_opt_num(smoothed_instance(11, 5, 0))
     with pytest.raises(fb.HarnessError):
         fb.approx_check(ExperimentConfig(mode="approx", n_grid=(6,),
                                          phi_grid=(Fraction(1, 2),)))
