@@ -320,7 +320,7 @@ def build_3cut_certificate(trace: Trace):
     if inst.k != 3 or not inst.complete:
         raise CertificateError("construction requires k=3 on a complete graph")
     # the half builder also refuses a trace that is not improving
-    half_graph, _ = build_half_certificate(trace, check_rank=False)
+    half_graph, _ = build_half_certificate(trace)
     runs, acyclic = _cyclic_runs(trace.moves)
     arcs_by_tail = {}
     for v in sorted(runs):
@@ -341,7 +341,7 @@ def build_3cut_certificate(trace: Trace):
 
 # --- general k: half certificate ---------------------------------------------
 
-def build_half_certificate(trace: Trace, check_rank: bool = True):
+def build_half_certificate(trace: Trace, check_rank: bool = False):
     """One arc per cyclic vertex, functional cycles broken: >= ceil(c/2) arcs.
 
     An improving trace guarantees each cycle column has a nonzero entry
@@ -554,7 +554,7 @@ CERTIFICATE_MODES = {
         block=lambda moves, beta: BlockView(moves, 1, len(moves)),
         window=lambda k, beta, n: k * n,
         rank_bound=lambda s, c, beta: -(-c // 2),
-        build=lambda trace, beta: build_half_certificate(trace, check_rank=False)),
+        build=lambda trace, beta: build_half_certificate(trace)),
 }
 
 

@@ -14,18 +14,21 @@ instance denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .model import (Instance, InvalidMoveError, ModelError, Move,
+from .model import (Instance, InvalidMoveError, ModelError, Move, Views,
                     check_configuration, hamiltonian, parse_configuration,
                     sequence_chunks, step_deltas, validate_move)
 
 DEFAULT_CAP = 10 ** 8
 PIVOT_RULES = ("first", "best", "random")
+# the most (vertex, part) cells of a FLIP state: at k >= 3 it keeps n x k
+# int64 sums and scores each step in another n x k array, 128 MiB apiece
+MAX_STATE_CELLS = 2 ** 24
 
 
 class ReplayError(ModelError):
@@ -55,13 +58,13 @@ class PivotRule:
 
 
 @dataclass(frozen=True)
-class Trace:
+class Trace(Views):
     """A validated move sequence with exact per-step improvements.
 
-    _derived holds what derived() has built from the trace, once each:
-    the step matrix ("M"), the combined matrices (keyed by combine mode)
-    and the certificate witness index read off P ("witnesses"); it is
-    created on first use, so a run pays nothing.
+    Its views, each built on first use, so a run pays nothing: moves,
+    delta_nums, final_configuration, the step matrix ("M"), the combined
+    matrices (keyed by combine mode) and the certificate witness index
+    read off P ("witnesses").
     """
 
     instance: Instance
@@ -70,18 +73,17 @@ class Trace:
     step_cap_hit: bool = False
     rule: str = ""
     seed: int = 0
-    _derived: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.steps)
 
     @property
     def moves(self):
-        return tuple(m for m, _ in self.steps)
+        return self.derived("moves", lambda: tuple(m for m, _ in self.steps))
 
     @property
     def delta_nums(self):
-        return tuple(d for _, d in self.steps)
+        return self.derived("delta_nums", lambda: tuple(d for _, d in self.steps))
 
     def configuration_at(self, t: int) -> tuple:
         """tau_t, the configuration after step t (t=0 gives tau0)."""
@@ -91,15 +93,8 @@ class Trace:
         return tuple(tau)
 
     def final_configuration(self) -> tuple:
-        return self.configuration_at(len(self.steps))
-
-    def derived(self, key: str, build):
-        """The structure stored under key, built by build() on first use."""
-        if self._derived is None:
-            object.__setattr__(self, "_derived", {})
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+        return self.derived("final_configuration",
+                            lambda: self.configuration_at(len(self.steps)))
 
 
 class _State:
@@ -118,6 +113,7 @@ class _State:
     """
 
     def __init__(self, inst: Instance, tau0):
+        check_state_cells(inst.n, inst.k)
         check_configuration(inst, tau0)
         self.k = inst.k
         weights = inst.weight_matrix()
@@ -164,6 +160,12 @@ class _State:
             self.sums[:, move.q - 1] += row
             self.tau[move.v] = move.q
             self.own[move.v] += move.q - move.p
+
+
+def check_state_cells(n: int, k: int) -> None:
+    if n * k > MAX_STATE_CELLS:
+        raise ModelError(f"a FLIP state of n={n} vertices and k={k} parts has {n * k} "
+                         f"cells, past the budget of {MAX_STATE_CELLS}")
 
 
 def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),

@@ -15,7 +15,7 @@ is reproducible and order-independent.  The sampling rule:
 replays CPython's string seeding and Mersenne Twister in numpy for every
 seed of a batch of up to 8192 indices of any key length.  The stdlib
 expression remains the definition, and it computes every draw the batch
-does not reach, all of them when there are fewer than 512 indices.
+does not reach, all of them when there are fewer than 640 indices.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class SmoothingProfile:
 
 _N, _M = 624, 397  # MT19937 state size and twist offset
 _WORDS = 8         # outputs per seed; randint's rejection tail past them uses the stdlib
-_MIN_BATCH = 512   # a batch costs ~8k ufunc calls at any size: fewer indices use the stdlib
+_MIN_BATCH = 640   # a batch costs ~8k ufunc calls at any size: fewer indices use the stdlib
 _MAX_BATCH = 8192
 _INIT = [19650218]  # init_genrand(19650218), where init_by_array starts
 while len(_INIT) < _N:

@@ -26,7 +26,8 @@ import numpy as np
 from .analysis import classify_cyclic, occurrence_stats
 from .certificates import (CERTIFICATE_MODES, certificate_mode, certify,
                            combine_mode)
-from .engine import DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip, slice_trace
+from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, check_state_cells,
+                     run_flip, slice_trace)
 from .generator import GRAPH_KINDS, SmoothingProfile, make_instance
 from .matrices import build_P, exact_rank
 from .model import (MAX_PARTS, Instance, ModelError, cut_value, hamiltonian,
@@ -80,6 +81,7 @@ class ExperimentConfig:
                                f"cap={self.cap} jobs={self.jobs} samples={self.samples}")
         if min(self.n_grid) < 2:
             raise HarnessError("every n in n_grid must be at least 2")
+        check_state_cells(max(self.n_grid), self.k)
         # phi >= 1/2 as an integer test: exact for int, Fraction and float
         phi_num, phi_den = min(self.phi_grid).as_integer_ratio()
         if 2 * phi_num < phi_den:

@@ -13,25 +13,25 @@ the surviving entries do not depend on the starting configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .analysis import CycleSet, TruncatedCycleSetError, cycles, pairs
 from .engine import Trace
-from .model import ModelError, sequence_chunks, step_signs
+from .model import ModelError, Views, sequence_chunks, step_signs
 
 
 @dataclass(frozen=True, eq=False)
-class SignMatrix:
+class SignMatrix(Views):
     """Sparse integer matrix in compressed-column form.
 
     Column j has the entries vals[ptr[j]:ptr[j+1]] on the rows
     rows[ptr[j]:ptr[j+1]], with strictly increasing row indices and
     nonzero integer entries.  col_labels carries the object a column came
     from (a time-step, a Pair, or a Cycle).  Built matrices have
-    read-only arrays, since a trace shares its matrices with every caller.
+    read-only arrays, since a trace shares its matrices with every caller;
+    cols is a view, built once.
     """
 
     n_rows: int
@@ -44,12 +44,14 @@ class SignMatrix:
     def n_cols(self) -> int:
         return len(self.ptr) - 1
 
-    @cached_property
+    @property
     def cols(self) -> tuple:
         """Column j as a tuple of (row index, entry) pairs of Python ints."""
-        pairs = list(zip(self.rows.tolist(), self.vals.tolist()))
-        ptr = self.ptr.tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
+        def build():
+            pairs = list(zip(self.rows.tolist(), self.vals.tolist()))
+            ptr = self.ptr.tolist()
+            return tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self.derived("cols", build)
 
     def row_support(self):
         """Row indices with at least one nonzero entry."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple, Sequence
@@ -45,14 +45,30 @@ class Move(NamedTuple):
     q: int
 
 
+class Views:
+    """Base of the frozen model objects, the package's one cache: what an
+    object builds from its own fields is kept in its __dict__, as
+    functools.cached_property does, where dataclass equality, hashing,
+    repr and replace never look."""
+
+    def derived(self, key: str, build):
+        """The view stored under key, built by build() on first use."""
+        slot = "view:" + key  # not an identifier, so it shadows no attribute
+        if slot not in self.__dict__:
+            self.__dict__[slot] = build()
+        return self.__dict__[slot]
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(Views):
     """A simple graph with exact fixed-point edge weights.
 
     weights are num_e / denom with |num_e| <= denom, i.e. |w_e| <= 1.
     phi bounds the density of the smoothing distribution the weights
     were drawn from; it is carried along for reporting and epsilon
     computations.  complete=True asserts the edge set is all pairs.
+    Its content hash, edge arrays, edge-id and weight matrices and total
+    weight are views, each built once.
     """
 
     n: int
@@ -62,10 +78,6 @@ class Instance:
     denom: int = DEFAULT_DENOM
     phi: Fraction = Fraction(1)
     complete: bool = False
-    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
-    _weights: object = field(default=None, init=False, repr=False, compare=False)
-    _edge_ids: object = field(default=None, init=False, repr=False, compare=False)
-    _edge_arrays: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -113,45 +125,46 @@ class Instance:
 
     def edge_arrays(self):
         """Read-only endpoint and weight-numerator arrays (u, v, nums) of the
-        edges, built once; nums is int64 while m * denom < 2**63 keeps every
-        sum of them exact, Python ints otherwise."""
-        if self._edge_arrays is None:
+        edges; nums is int64 while m * denom < 2**63 keeps every sum of them
+        exact, Python ints otherwise."""
+        def build():
             u, v = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
                                count=2 * self.m).reshape(-1, 2).T
             dtype = np.int64 if self.m * self.denom < 2 ** 63 else object
             arrays = (u, v, np.fromiter(self.weight_nums, dtype=dtype, count=self.m))
             for a in arrays:
                 a.flags.writeable = False
-            object.__setattr__(self, "_edge_arrays", arrays)
-        return self._edge_arrays
+            return arrays
+        return self.derived("edge_arrays", build)
 
     def edge_ids(self) -> np.ndarray:
         """Read-only symmetric n x n matrix of edge indices, -1 on non-edges
-        and on the diagonal, built once."""
-        if self._edge_ids is None:
+        and on the diagonal."""
+        def build():
             u, v, _ = self.edge_arrays()
             # int32 holds the index of any edge of an instance that fits in memory
             ids = np.full((self.n, self.n), -1, dtype=np.int32)
             ids[u, v] = ids[v, u] = np.arange(self.m)
             ids.flags.writeable = False
-            object.__setattr__(self, "_edge_ids", ids)
-        return self._edge_ids
+            return ids
+        return self.derived("edge_ids", build)
 
     def weight_matrix(self) -> np.ndarray:
-        """Read-only dense symmetric n x n weight numerators, built once: int64
-        while n * denom < 2**62 keeps every sum of a row and every difference
-        of two such sums exact, Python ints otherwise."""
-        if self._weights is None:
+        """Read-only dense symmetric n x n weight numerators: int64 while
+        n * denom < 2**62 keeps every sum of a row and every difference of
+        two such sums exact, Python ints otherwise."""
+        def build():
             dtype = np.int64 if self.n * self.denom < 2 ** 62 else object
             w = np.zeros((self.n, self.n), dtype=dtype)
             u, v, nums = self.edge_arrays()
             w[u, v] = w[v, u] = nums
             w.flags.writeable = False
-            object.__setattr__(self, "_weights", w)
-        return self._weights
+            return w
+        return self.derived("weight_matrix", build)
 
     def total_weight(self) -> Fraction:
-        return Fraction(int(self.edge_arrays()[2].sum()), self.denom)
+        return self.derived("total_weight",
+                            lambda: Fraction(int(self.edge_arrays()[2].sum()), self.denom))
 
     # --- serialization: header `n k D phi complete`, then `u v num` lines
 
@@ -192,10 +205,8 @@ class Instance:
                    denom=denom, phi=phi, complete=bool(complete))
 
     def content_hash(self) -> str:
-        if self._hash is None:
-            digest = hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
-            object.__setattr__(self, "_hash", digest)
-        return self._hash
+        return self.derived("content_hash",
+                            lambda: hashlib.sha256(self.to_text().encode()).hexdigest()[:16])
 
 
 def complete_edges(n: int):

@@ -63,6 +63,11 @@ class MatrixBuilds:
                 "P": len({id(p) for p in self.made["P"]}), "cycles": self.cycles}
 
 
+def views(obj) -> set:
+    """The keys of the views a model object has built so far."""
+    return {key.removeprefix("view:") for key in vars(obj) if key.startswith("view:")}
+
+
 # --- reference oracles, from the definitions ----------------------------------
 # None of them calls the step-sign kernel (model.step_signs, step_deltas,
 # sequence_chunks) or the certificates' witness index itself, so none can

@@ -1,13 +1,15 @@
 """FLIP engine: termination, pivot rules, replay, trace files."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 import flipbench as fb
+from flipbench import engine
 
-from conftest import improving_set, random_tau0, run_random, smoothed_instance
+from conftest import improving_set, random_tau0, run_random, smoothed_instance, views
 
 
 def test_run_reaches_local_optimum():
@@ -82,6 +84,18 @@ def test_cap():
     assert not exact.step_cap_hit
 
 
+def test_flip_state_is_bounded_before_allocation(monkeypatch):
+    # the check reads n and k alone, so no case here allocates anything
+    engine.check_state_cells(2 ** 12, 2 ** 12)  # exactly the budget
+    with pytest.raises(fb.ModelError, match=rf"n=2 vertices and k=2147483647 parts "
+                       rf"has 4294967294 cells, past the budget of {engine.MAX_STATE_CELLS}"):
+        engine.check_state_cells(2, 2 ** 31 - 1)
+    # run_flip checks it before building its state
+    monkeypatch.setattr(engine, "MAX_STATE_CELLS", 5)
+    with pytest.raises(fb.ModelError, match="n=2 vertices and k=3 parts has 6 cells"):
+        fb.run_flip(smoothed_instance(2, 3, 1), (1, 1))
+
+
 def test_replay_matches_run():
     traces = [run_random(10, k, 8, rule=rule)
               for k, rule in ((3, "first"), (2, "random"), (4, "best"))]
@@ -143,6 +157,23 @@ def test_supplied_sequences_never_build_the_flip_state(monkeypatch):
         fb.trace_from_text(trace.instance, fb.trace_to_text(trace))
         fb.slice_trace(trace, 2, 4)
         assert built == []
+
+
+def test_trace_views_are_built_once():
+    trace = run_random(9, 3, 5)
+    assert views(trace) == set()  # a run builds none of them
+    assert trace.moves is trace.moves and trace.delta_nums is trace.delta_nums
+    assert trace.final_configuration() is trace.final_configuration()
+    assert trace.final_configuration() == trace.configuration_at(len(trace))
+    assert fb.build_M(trace) is fb.build_M(trace)
+    assert views(trace) == {"moves", "delta_nums", "final_configuration", "M"}
+    # the views are not part of equality, hashing or repr
+    fresh = fb.Trace(instance=trace.instance, tau0=trace.tau0, steps=trace.steps,
+                     step_cap_hit=trace.step_cap_hit, rule=trace.rule, seed=trace.seed)
+    assert fresh == trace and hash(fresh) == hash(trace) and repr(fresh) == repr(trace)
+    other = dataclasses.replace(trace, seed=trace.seed + 1)
+    assert views(other) == set() and other.moves == trace.moves
+    assert other.moves is not trace.moves
 
 
 def test_slice_trace():

@@ -158,11 +158,11 @@ def _check_draws(seed, m):
     return done
 
 
-@pytest.mark.parametrize("m", [511, 512])
+@pytest.mark.parametrize("m", [639, 640])
 def test_min_batch_applies_to_all_indices(m):
     # _MIN_BATCH counts every index, whatever its key length: below it the
     # stdlib computes every draw, at it one batch computes them all
-    assert generator._MIN_BATCH == 512
+    assert generator._MIN_BATCH == 640
     done = _check_draws(4, m)
     assert done.all() if m >= generator._MIN_BATCH else not done.any()
 

@@ -92,6 +92,16 @@ def test_parse_config_rejects_bad_values(line, message):
         fb.parse_config(f"mode scaling\n{line}\n")
 
 
+def test_config_bounds_the_flip_state():
+    # refused at parse, from n and k alone: nothing is allocated
+    with pytest.raises(fb.ModelError, match=r"n=2 vertices and k=2147483647 parts"):
+        fb.parse_config("mode scaling\nn_grid 2\nk 2147483647\n")
+    # the largest n of the grid counts, up to exactly the budget
+    with pytest.raises(fb.ModelError, match=r"n=4194305 vertices and k=4 parts"):
+        fb.parse_config("mode scaling\nn_grid 2,4194305\nk 4\n")
+    assert fb.parse_config("mode scaling\nn_grid 2,4194304\nk 4\n").k == 4
+
+
 def test_approx_config_rejects_n_above_12():
     with pytest.raises(fb.HarnessError, match="approx mode requires n <= 12"):
         fb.parse_config("mode approx\nn_grid 6,13\n")

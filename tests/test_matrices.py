@@ -34,6 +34,7 @@ def test_pair_columns_sum_step_columns():
     trace = run_random(10, 2, 4)
     m = fb.build_M(trace)
     p = fb.build_P(trace, "pairs")
+    assert p is fb.build_P(trace, "pairs") and p.cols is p.cols
     for j, pair in enumerate(p.col_labels):
         acc = {}
         for t in (pair.t1, pair.t2):

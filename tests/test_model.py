@@ -1,5 +1,6 @@
 """Core model: exact deltas, objective identities, serialization."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import flipbench as fb
 from flipbench.model import (check_configuration, parse_configuration,
                              validate_move)
 
-from conftest import improving_set, play_move, random_tau0, smoothed_instance
+from conftest import improving_set, play_move, random_tau0, smoothed_instance, views
 
 
 def test_delta_matches_hamiltonian_difference():
@@ -156,10 +157,17 @@ def test_cached_hash_and_weight_matrix():
     assert int((w != 0).sum()) == 2 * sum(1 for num in inst.weight_nums if num)
     for (u, v), num in zip(inst.edges, inst.weight_nums):
         assert w[u, v] == num
-    # the caches are not part of equality or of the constructor
+    assert inst.total_weight() is inst.total_weight()
+    # the views are not part of equality, hashing, repr or the constructor
     again = fb.Instance(n=inst.n, k=inst.k, edges=inst.edges, weight_nums=inst.weight_nums,
                         denom=inst.denom, phi=inst.phi)
-    assert again == inst and again._hash is None and again._weights is None
+    assert views(inst) == {"content_hash", "edge_arrays", "total_weight", "weight_matrix"}
+    assert views(again) == {"edge_arrays"}  # __post_init__ checks the edges with it
+    assert again == inst and hash(again) == hash(inst) and repr(again) == repr(inst)
+    # a replaced instance builds its own views from its own fields
+    other = dataclasses.replace(inst, k=inst.k + 1)
+    assert views(other) == {"edge_arrays"} and other.content_hash() != inst.content_hash()
+    assert other.weight_matrix() is not w and (other.weight_matrix() == w).all()
 
 
 def test_cached_edge_ids_and_arrays():
