@@ -19,9 +19,9 @@ from .certificates import (Arc, CertificateError, CertificateGraph,
                            build_3cut_certificate, build_half_certificate,
                            build_k2_certificate, certify, validate_certificate)
 from .harness import (ExperimentConfig, HarnessError, approx_check,
-                      brute_force_opt_num, epsilon_bound, exp_mc,
-                      exp_rank_campaign, exp_scaling, mc_slow_bound,
-                      parse_config, rows_to_csv, run_experiment,
-                      theorem_bound, window_length)
+                      epsilon_bound, exp_mc, exp_rank_campaign, exp_scaling,
+                      mc_slow_bound, parse_config, rows_to_csv,
+                      run_experiment, state_cuts, theorem_bound,
+                      window_length)
 
 __version__ = "0.1.0"

@@ -26,8 +26,8 @@ from .model import (Instance, InvalidMoveError, ModelError, Move, Views,
 
 DEFAULT_CAP = 10 ** 8
 PIVOT_RULES = ("first", "best", "random")
-# the most (vertex, part) cells of a FLIP state: at k >= 3 it keeps n x k
-# int64 sums and scores each step in another n x k array, 128 MiB apiece
+# the most cells of a FLIP state, n * max(n, k): the n x n weight matrix, 2W
+# at k = 2, and n x k sums and scores at k >= 3, 128 MiB apiece in int64
 MAX_STATE_CELLS = 2 ** 24
 
 
@@ -163,9 +163,9 @@ class _State:
 
 
 def check_state_cells(n: int, k: int) -> None:
-    if n * k > MAX_STATE_CELLS:
-        raise ModelError(f"a FLIP state of n={n} vertices and k={k} parts has {n * k} "
-                         f"cells, past the budget of {MAX_STATE_CELLS}")
+    if n * max(n, k) > MAX_STATE_CELLS:
+        raise ModelError(f"a FLIP state of n={n} vertices and k={k} parts has "
+                         f"{n * max(n, k)} cells, past the budget of {MAX_STATE_CELLS}")
 
 
 def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),

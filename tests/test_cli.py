@@ -174,7 +174,7 @@ def test_approx_config_past_the_brute_force_limit_exits_2(tmp_path, capsys, monk
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(harness, "_flip_trial", no_trial)
-    monkeypatch.setattr(harness, "brute_force_opt_num", no_trial)
+    monkeypatch.setattr(harness, "state_cuts", no_trial)
     cfgp = tmp_path / "approx.cfg"
     cfgp.write_text("mode approx\nn_grid 12\nk 5\ntrials 1\n")
     assert main(["experiment", "--config", str(cfgp)]) == 2
@@ -262,6 +262,16 @@ def test_part_count_numpy_cannot_allocate_exits_2(tmp_path, capsys, command, nam
     assert main([command, flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: part count k") and "at most 2147483647" in err
+
+
+def test_run_past_the_state_budget_exits_2(tmp_path, capsys):
+    # the n x n weight matrix counts: 4097 vertices are refused at k=2,
+    # before the weight matrix or any state is built
+    path = tmp_path / "inst.txt"
+    path.write_text("4097 2 1048576 1 0\n0 1 5\n")
+    assert main(["run", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a FLIP state of n=4097 vertices and k=2 parts")
 
 
 @pytest.mark.parametrize("k, code", [(2 ** 31 - 1, 0), (3_000_000_000, 2)])

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flipbench as fb
@@ -99,15 +100,19 @@ def test_config_bounds_the_flip_state():
     # the largest n of the grid counts, up to exactly the budget
     with pytest.raises(fb.ModelError, match=r"n=4194305 vertices and k=4 parts"):
         fb.parse_config("mode scaling\nn_grid 2,4194305\nk 4\n")
-    assert fb.parse_config("mode scaling\nn_grid 2,4194304\nk 4\n").k == 4
+    # the n x n weight matrix counts too: n * max(n, k) cells, so n <= 4096
+    assert fb.parse_config("mode scaling\nn_grid 2,4096\nk 4096\n").k == 4096
+    with pytest.raises(fb.ModelError, match=r"n=4097 vertices and k=2 parts has "
+                       r"16785409 cells"):
+        fb.parse_config("mode scaling\nn_grid 4097\nk 2\n")
 
 
 def test_approx_config_rejects_n_above_12():
     with pytest.raises(fb.HarnessError, match="approx mode requires n <= 12"):
         fb.parse_config("mode approx\nn_grid 6,13\n")
     assert fb.parse_config("mode approx\nn_grid 6,12\n").n_grid == (6, 12)
-    # the brute force holds all k^n configurations at once: 5^12 would
-    # take about 9 GB, so the config refuses past 4^12
+    # state_cuts holds all k^n cut values at once: 5^12 of them in int64
+    # would take 2 GB, so the config refuses past 4^12
     with pytest.raises(fb.HarnessError, match=r"requires k\^n <= 4\^12; k=5, n=12"):
         fb.parse_config("mode approx\nn_grid 6,12\nk 5\n")
     assert fb.parse_config("mode approx\nn_grid 12\nk 4\n").k == 4
@@ -223,13 +228,40 @@ def test_brute_force_opt_on_unit_k4():
     denom = fb.DEFAULT_DENOM
     inst = fb.Instance(n=4, k=2, edges=fb.complete_edges(4),
                        weight_nums=(denom,) * 6, denom=denom, complete=True)
-    assert fb.brute_force_opt_num(inst) == 4 * denom  # balanced bipartition
+    assert fb.state_cuts(inst).max() == 4 * denom  # balanced bipartition
     inst3 = fb.Instance(n=4, k=3, edges=fb.complete_edges(4),
                         weight_nums=(denom,) * 6, denom=denom, complete=True)
-    assert fb.brute_force_opt_num(inst3) == 5 * denom
+    assert fb.state_cuts(inst3).max() == 5 * denom
     big = fb.Instance(n=13, k=2, edges=(), weight_nums=())
     with pytest.raises(fb.HarnessError):
-        fb.brute_force_opt_num(big)
+        fb.state_cuts(big)
+
+
+def _every_cut(inst):
+    """cut_value(inst, tau) * denom of every tau, in state_cuts' order:
+    index sum_v (tau_v - 1) k^v, so vertex 0's part moves fastest."""
+    return [fb.cut_value(inst, rev[::-1]) * inst.denom
+            for rev in itertools.product(range(1, inst.k + 1), repeat=inst.n)]
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 5), (4, 4)])
+def test_state_cuts_equal_cut_value_on_every_state(k, n):
+    insts = [smoothed_instance(n, k, seed) for seed in (0, 1, 2)]
+    insts.append(smoothed_instance(n, k, 3, kind="gnp", p=0.5))
+    assert insts[-1].m < n * (n - 1) // 2  # a graph with missing pairs
+    for inst in insts:
+        cuts = fb.state_cuts(inst)
+        assert cuts.dtype == np.int64 and len(cuts) == k ** n
+        assert cuts.tolist() == _every_cut(inst)
+
+
+def test_state_cuts_on_python_int_weights():
+    # denom 2**70 puts the weight numerators on Python ints
+    inst = fb.make_instance("complete", 5, 3, fb.SmoothingProfile(phi=1, seed=4),
+                            denom=2 ** 70)
+    cuts = fb.state_cuts(inst)
+    assert cuts.dtype == object and cuts.max() == max(_every_cut(inst))
+    assert cuts.max() > 2 ** 63
 
 
 def test_scaling_experiment_rows():
@@ -251,9 +283,9 @@ def test_approx_mode_all_hold():
     assert len(rows) == 5 and all(r["ok"] == 1 for r in rows)
     with pytest.raises(fb.HarnessError):
         fb.approx_check(ExperimentConfig(mode="approx", n_grid=(20,)))
-    # the brute force refuses past 4^12 configurations itself, before it allocates
+    # state_cuts refuses past 4^12 configurations itself, before it allocates
     with pytest.raises(fb.HarnessError, match=r"k\^n > 4\^12; k=5, n=11"):
-        fb.brute_force_opt_num(smoothed_instance(11, 5, 0))
+        fb.state_cuts(smoothed_instance(11, 5, 0))
     with pytest.raises(fb.HarnessError):
         fb.approx_check(ExperimentConfig(mode="approx", n_grid=(6,),
                                          phi_grid=(Fraction(1, 2),)))
