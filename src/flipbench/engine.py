@@ -214,6 +214,8 @@ def replay(inst: Instance, tau0, moves: Iterable[Move]) -> Trace:
     non-improving steps; callers that need strict improvement must check
     deltas.
     """
+    if inst.n * inst.n > MAX_STATE_CELLS:
+        raise ModelError(f"n={inst.n}: n x n views pass the budget of {MAX_STATE_CELLS} cells")
     check_configuration(inst, tau0)
     moves = [Move(*move) for move in moves]
     tau = list(tau0)

@@ -90,6 +90,14 @@ class ExperimentConfig:
             raise HarnessError(f"eps={self.eps} must be positive")
         if not math.isfinite(self.eta):
             raise HarnessError(f"eta={self.eta} must be finite")
+        for x in (*self.phi_grid, self.eps, self.beta.rational or 1):
+            try:
+                num, den = x.as_integer_ratio()
+                in_range = num / den > 0
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise HarnessError("every phi, eps and beta must have a positive finite float")
         if self.mode == "approx":
             if max(self.n_grid) > 12:
                 raise HarnessError("approx mode requires n <= 12")

@@ -7,6 +7,7 @@ import pytest
 import flipbench as fb
 from flipbench import certificates
 from flipbench.certificates import Arc, CertificateGraph
+from flipbench.model import random_configuration
 from flipbench.thresholds import Beta
 
 from conftest import (MatrixBuilds, good_arc, random_moves, run_random,
@@ -184,6 +185,23 @@ def test_3cut_certificate_builds_one_cyclic_view(monkeypatch):
         assert runs == {v: list(by_seg.values()) for v, by_seg in grouped.items()}
         assert acyclic == {m.v for m in moves} - set(runs)
     assert split >= 500
+
+
+def test_3cut_on_a_natural_block_takes_the_larger_graph():
+    # the 2-critical block (steps 5-106) of a complete k=3, n=48 run: its
+    # window arcs number 10 and its half certificate 15, so the builder
+    # certifies the half graph
+    inst = smoothed_instance(48, 3, 51)
+    run = fb.run_flip(inst, random_configuration(48, 3, 51), fb.PivotRule(variant="first"))
+    block = fb.two_critical_block(run.moves)
+    assert (block.t1, block.t2) == (5, 106)
+    sub = fb.slice_trace(run, block.t1, block.t2)
+    runs, acyclic = certificates._cyclic_runs(sub.moves)
+    assert sum(len(certificates._window_arcs(sub, v, runs[v], acyclic)) for v in runs) == 10
+    half, _ = fb.build_half_certificate(sub)
+    graph, bound, verdict = fb.certify(sub, "3cut", Beta.sqrt_half())
+    assert verdict.valid, verdict.reason
+    assert graph == half and bound == graph.n_arcs == 15
 
 
 def test_3cut_requires_complete_improving_k3():

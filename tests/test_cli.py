@@ -33,6 +33,13 @@ def test_run_writes_trace(tmp_path, instance_file, capsys):
     assert trace.tau0 == random_tau0(inst.n, inst.k, 3)
     err = capsys.readouterr().err
     assert f"steps {len(trace)}" in err
+    # the same two files feed analyze and then certify
+    files = ["--instance", path, "--trace", str(out)]
+    assert main(["analyze", *files, "--report", "cycles"]) == 0
+    assert capsys.readouterr().out.startswith("cyclic ")
+    assert main(["certify", *files, "--mode", "half"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("# arcs ") and last.endswith(" valid 1") and int(last.split()[2]) > 0
 
 
 def test_run_with_explicit_tau0(tmp_path, instance_file):
@@ -182,6 +189,31 @@ def test_approx_config_past_the_brute_force_limit_exits_2(tmp_path, capsys, monk
     assert err.startswith("error: ") and "k^n <= 4^12" in err and "Traceback" not in err
 
 
+def test_approx_at_its_largest_config(tmp_path, capsys):
+    # the cut values of all 4^12 configurations give OPT, and FLIP's local
+    # optimum must reach 3/4 of it
+    cfgp = tmp_path / "approx.cfg"
+    cfgp.write_text("mode approx\nn_grid 12\nk 4\ntrials 1\n")
+    assert main(["experiment", "--config", str(cfgp)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,k,phi,trial,opt,local,steps,ok"
+    assert len(lines) == 2 and lines[1].startswith("12,4,") and lines[1].endswith(",1")
+
+
+@pytest.mark.parametrize("mode, line", [
+    ("scaling", "phi_grid 1e400"), ("mc", "phi_grid 1,1e400"), ("mc", "eps 1e400"),
+    ("rank", "beta 1e400"), ("rank", "beta 1e-400"), ("mc", "eps 1e-400"),
+])
+def test_config_value_past_float_range_exits_2(tmp_path, capsys, mode, line):
+    # the bounds and the mc sampler take these values as floats: one that
+    # overflows, or that reads 0.0, is refused at parse, not with a traceback
+    cfgp = tmp_path / "cfg.txt"
+    cfgp.write_text(f"mode {mode}\nn_grid 16\nk 2\ntrials 1\nsamples 10\n{line}\n")
+    assert main(["experiment", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: every phi, eps and beta") and "Traceback" not in err
+
+
 def test_bad_instance_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an instance\n")
@@ -272,6 +304,21 @@ def test_run_past_the_state_budget_exits_2(tmp_path, capsys):
     assert main(["run", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a FLIP state of n=4097 vertices and k=2 parts")
+
+
+@pytest.mark.parametrize("command", [["certify", "--mode", "half"], ["analyze"]])
+def test_trace_past_the_state_budget_exits_2(tmp_path, capsys, command):
+    # replay builds n x n views of the instance, so a trace file is held to
+    # run's budget: 4097 vertices are refused before any view is built
+    n = 4097
+    text = f"{n} 2 1048576 1 0\n0 1 5\n"
+    ipath, tpath = tmp_path / "inst.txt", tmp_path / "trace.txt"
+    ipath.write_text(text)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    tpath.write_text(f"# instance {digest}\n# tau0 {' '.join(['1'] * n)}\n1 0 1 2 5\n")
+    assert main([command[0], "--instance", str(ipath), "--trace", str(tpath), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=4097: n x n views pass the budget of 16777216 cells")
 
 
 @pytest.mark.parametrize("k, code", [(2 ** 31 - 1, 0), (3_000_000_000, 2)])
