@@ -20,9 +20,9 @@ The first two read one run list per cyclic vertex: its time-steps,
 split into runs at acyclic steps, one run per cyclic block it moves in.
 
 Every construction is re-validated against the actual matrix rather than
-trusted; validate_certificate uses its own elimination, mod a prime other
-than exact_rank's with a rational fallback, so the check does not share
-code with exact_rank.
+trusted; validate_certificate runs its own elimination, mod a prime other
+than exact_rank's and then over Q, so the check does not share code with
+exact_rank.
 
 CERTIFICATE_MODES is the one place that says, per mode (k2, 3cut, half),
 which block the rank lemma certifies, over which window, with which rank
@@ -400,9 +400,9 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     column of P over its arc's tail, nonzero witness entries, the
     per-tail staircase zero pattern, distinct edge rows, and full row
     rank of the witness-row submatrix of P over all its columns.  Full
-    row rank is proven mod a prime of the validator's own (a code path
-    independent of exact_rank); only when that check sees a deficiency
-    does plain rational elimination decide.
+    row rank is proven by _row_rank mod a prime of the validator's own (a
+    code path independent of exact_rank); only when that count falls
+    short does the same routine, run over Q on Fractions, decide.
     """
     inst = trace.instance
     arcs = graph.arcs
@@ -463,8 +463,8 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
     col_of = np.repeat(np.arange(p.n_cols), np.diff(p.ptr))
     rows = np.zeros((len(rows_of), p.n_cols), dtype=np.int64)
     rows[at[hit], col_of[hit]] = p.vals[hit]
-    if not _full_row_rank_mod_p(rows):
-        rank = _rational_row_rank([[Fraction(x) for x in r] for r in rows.tolist()])
+    if _row_rank(rows % _VALIDATOR_PRIME, _VALIDATOR_PRIME) < len(arcs):
+        rank = _row_rank(rows.astype(object) * Fraction(1))
         if rank != len(arcs):
             return Verdict(valid=False,
                            reason=f"witness rows have rank {rank}, expected {len(arcs)}")
@@ -476,51 +476,28 @@ def validate_certificate(graph: CertificateGraph, trace: Trace) -> Verdict:
 _VALIDATOR_PRIME = 2 ** 31 - 19
 
 
-def _full_row_rank_mod_p(rows: np.ndarray) -> bool:
-    """Whether the integer rows are independent mod _VALIDATOR_PRIME.
+def _row_rank(red: np.ndarray, p: int | None = None) -> int:
+    """Rank of the rows of red, reduced in place: int64 residues mod p, or
+    Fractions over Q when p is None.
 
-    True proves them independent over Q: some maximal minor is nonzero
-    mod p, so it is a nonzero integer.  False may be an unlucky prime.
     Each row in turn takes its first nonzero column as pivot and clears
-    that column from the rows after it; a row left all zero is dependent.
+    that column from the rows after it; a row left all zero depends on
+    the rows before it.  Full rank mod p proves the rows independent over
+    Q: some maximal minor is nonzero mod p, so it is a nonzero integer.
+    A lower count mod p may be an unlucky prime.
     """
-    p = _VALIDATOR_PRIME
-    red = rows % p
+    rank = 0
     for i in range(len(red)):
         nonzero = np.flatnonzero(red[i])
         if not len(nonzero):
-            return False
-        c = nonzero[0]
-        factors = red[i + 1:, c] * pow(int(red[i, c]), -1, p) % p
-        red[i + 1:] = (red[i + 1:] - factors[:, None] * red[i]) % p
-    return True
-
-
-def _rational_row_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    rank = 0
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        c = nonzero[0]
+        if p is None:
+            red[i + 1:] -= (red[i + 1:, c] / red[i, c])[:, None] * red[i]
+        else:
+            factors = red[i + 1:, c] * pow(int(red[i, c]), -1, p) % p
+            red[i + 1:] = (red[i + 1:] - factors[:, None] * red[i]) % p
         rank += 1
-        r += 1
-        if r == len(rows):
-            break
     return rank
 
 

@@ -33,6 +33,15 @@ def _load_trace(instance_path: str, trace_path: str):
         return trace_from_text(inst, fh.read())
 
 
+def _write_out(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     if args.tau0:
@@ -42,12 +51,7 @@ def cmd_run(args) -> int:
         tau0 = random_configuration(inst.n, inst.k, args.seed)
     rule = PivotRule(variant=args.rule, seed=args.seed)
     trace = run_flip(inst, tau0, rule, cap=args.cap)
-    text = trace_to_text(trace)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(trace_to_text(trace), args.out)
     print(f"# steps {len(trace)} cap_hit {int(trace.step_cap_hit)}",
           file=sys.stderr)
     return 0
@@ -106,13 +110,7 @@ def cmd_certify(args) -> int:
 def cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    fields, rows = run_experiment(cfg)
-    text = rows_to_csv(fields, rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(rows_to_csv(*run_experiment(cfg)), args.out)
     return 0
 
 

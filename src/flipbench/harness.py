@@ -334,7 +334,7 @@ def mc_slow_bound(vectors, phi, eps, samples: int, seed: int) -> MCResult:
     if A.ndim != 2:
         raise HarnessError("vectors must form a k x m array")
     k, m = A.shape
-    r = exact_rank([list(map(int, row)) for row in A])
+    r = exact_rank(A)
     if r < k:
         raise HarnessError(f"vectors are dependent: rank {r} < {k}")
     phi_f, eps_f = float(phi), float(eps)

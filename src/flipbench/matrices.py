@@ -13,6 +13,7 @@ the surviving entries do not depend on the starting configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -155,45 +156,48 @@ _LIFT = 46340
 
 
 def exact_rank(mat) -> int:
-    """Rank over the rationals, certified mod p with a Bareiss fallback.
+    """Rank over the rationals: one row reduction, certified mod p, run
+    over Q when the certificate cannot be completed.
 
-    Accepts a SignMatrix or a dense list of integer rows.  Row reduction
-    mod p = 2**31 - 1 finds r pivots: a nonsingular r x r minor mod p is
-    nonsingular over Q, so rank >= r.  Below full column rank, each free
-    column's kernel vector is read off the reduced form, lifted to
-    symmetric residues and checked A.K == 0 in exact integers; these
+    Accepts a SignMatrix or dense integer rows (a list or an array).
+    _rref mod p = 2**31 - 1 finds r pivots: a nonsingular r x r minor
+    mod p is nonsingular over Q, so rank >= r.  Below full column rank,
+    each free column's kernel vector is read off the reduced form, lifted
+    to symmetric residues and checked A.K == 0 in exact integers; these
     cols - r independent kernel vectors prove rank <= r.  An entry beyond
     int64, a lifted residue beyond _LIFT, a product that could overflow
-    int64 or a failed check sends the matrix to fraction-free Bareiss
-    elimination instead.  No float decides anything.
+    int64 or a failed check sends the matrix through the same _rref over
+    Q, on Fractions, instead.  No float decides anything.
     """
-    try:
-        a = _nonzero_rows(mat)
-    except OverflowError:
-        return _bareiss_rank(mat)
-    rank = _certified_rank(a)
-    return _bareiss_rank(a.tolist()) if rank is None else rank
+    a = _tall(mat)
+    rank = _certified_rank(a) if a.dtype == np.int64 else None
+    return len(_rref(a.astype(object) * Fraction(1))[1]) if rank is None else rank
 
 
-def _nonzero_rows(mat) -> np.ndarray:
-    """The matrix's nonzero rows as an int64 array; OverflowError if an
-    entry of a dense list does not fit."""
-    if not isinstance(mat, SignMatrix):
-        a = np.array([list(r) for r in mat], dtype=np.int64)
-        return a[a.any(axis=1)] if a.ndim == 2 else np.zeros((0, 0), dtype=np.int64)
-    support, at = np.unique(mat.rows, return_inverse=True)
-    a = np.zeros((len(support), mat.n_cols), dtype=np.int64)
-    a[at, np.repeat(np.arange(mat.n_cols), np.diff(mat.ptr))] = mat.vals
-    return a
+def _tall(mat) -> np.ndarray:
+    """The matrix without its zero rows and columns, transposed if it is
+    wider than tall: int64, or dtype=object when a dense entry does not
+    fit in int64."""
+    if isinstance(mat, SignMatrix):
+        support, at = np.unique(mat.rows, return_inverse=True)
+        a = np.zeros((len(support), mat.n_cols), dtype=np.int64)
+        a[at, np.repeat(np.arange(mat.n_cols), np.diff(mat.ptr))] = mat.vals
+    else:
+        try:
+            a = np.asarray(mat, dtype=np.int64)
+        except OverflowError:
+            a = np.array(mat, dtype=object)
+        if a.ndim != 2:
+            return np.zeros((0, 0), dtype=np.int64)
+        a = a[a.any(axis=1)]
+    a = a[:, a.any(axis=0)]
+    return a.T if a.shape[0] < a.shape[1] else a
 
 
 def _certified_rank(a: np.ndarray) -> int | None:
     """Exact rank of an int64 matrix from a mod-p reduction and an integer
     kernel, or None when the certificate cannot be completed."""
-    a = a[:, a.any(axis=0)]
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    red, pivots = _rref_mod_p(a)
+    red, pivots = _rref(a % _PRIME, _PRIME)
     n_cols = a.shape[1]
     if len(pivots) == n_cols:
         return n_cols
@@ -212,9 +216,11 @@ def _certified_rank(a: np.ndarray) -> int | None:
     return len(pivots)
 
 
-def _rref_mod_p(a: np.ndarray):
-    """Reduced row echelon form of a mod _PRIME: (pivot rows, pivot columns)."""
-    red = a % _PRIME
+def _rref(red: np.ndarray, p: int | None = None):
+    """Reduced row echelon form of red, in place: (pivot rows, pivot
+    columns).  Over GF(p) on int64 residues mod p, or over Q on an
+    object array of Fractions when p is None."""
+    reduce = (lambda x: x) if p is None else (lambda x: x % p)
     n_rows, n_cols = red.shape
     pivots = []
     for c in range(n_cols):
@@ -226,53 +232,11 @@ def _rref_mod_p(a: np.ndarray):
             continue
         if below[0]:
             red[[row, row + below[0]]] = red[[row + below[0], row]]
-        red[row, c:] = red[row, c:] * pow(int(red[row, c]), -1, _PRIME) % _PRIME
+        inv = 1 / red[row, c] if p is None else pow(int(red[row, c]), -1, p)
+        red[row, c:] = reduce(red[row, c:] * inv)
         factors = red[:, c].copy()
         factors[row] = 0
         hit = np.flatnonzero(factors)
-        red[hit, c:] = (red[hit, c:] - factors[hit, None] * red[row, c:]) % _PRIME
+        red[hit, c:] = reduce(red[hit, c:] - factors[hit, None] * red[row, c:])
         pivots.append(c)
     return red[:len(pivots)], pivots
-
-
-def _bareiss_rank(rows) -> int:
-    """Rank by fraction-free (Bareiss) elimination on Python integers;
-    works on the transpose when that is smaller, zero rows dropped first."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    if n_cols < len(rows):
-        rows = [[rows[i][j] for i in range(len(rows))] for j in range(n_cols)]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return 0
-        n_cols = len(rows[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            fi = rows[i][c]
-            if fi == 0 and piv == prev:
-                continue
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (row_i[j] * piv - fi * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank

@@ -1,12 +1,13 @@
 """Command-line interface smoke tests via main()."""
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
 import flipbench as fb
-from flipbench import harness
+from flipbench import certificates, harness
 from flipbench.cli import main
 from flipbench.thresholds import Beta
 
@@ -165,6 +166,21 @@ def test_certify_half_mode(tmp_path, capsys):
     assert "valid 1" in out
 
 
+def test_certify_exits_1_on_an_invalid_certificate(tmp_path, capsys, monkeypatch):
+    # a builder that returns a two-arc directed cycle: certify prints the
+    # graph, its verdict and the reason, and exits 1
+    cycle = certificates.CertificateGraph(arcs_by_tail={
+        0: (certificates.Arc(v=0, u=1, witness=(1, 2)),),
+        1: (certificates.Arc(v=1, u=0, witness=(3, 4)),)})
+    monkeypatch.setitem(certificates.CERTIFICATE_MODES, "half", dataclasses.replace(
+        certificates.CERTIFICATE_MODES["half"], build=lambda trace, beta: (cycle, 1)))
+    ipath, tpath = _write_trace(tmp_path, run_random(12, 4, 606))
+    assert main(["certify", "--instance", ipath, "--trace", tpath, "--mode", "half"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["0 1 1,2", "1 0 3,4", "# arcs 2 bound 1 valid 0",
+                   "# reason graph has a directed cycle"]
+
+
 def test_experiment_csv(tmp_path):
     cfgp = tmp_path / "cfg.txt"
     cfgp.write_text("mode scaling\nn_grid 8\nk 2\ntrials 2\nseed 9\n")
@@ -227,6 +243,14 @@ def test_missing_instance_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "absent.txt" in err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_empty_instance_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["run", "--instance", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: empty instance file\n"
+
+
 def test_non_integer_instance_header_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("4 2 1048576 1 x\n0 1 5\n")
@@ -247,6 +271,10 @@ def test_non_integer_instance_header_exits_2(tmp_path, capsys):
     ("0 1 1048577", "weight magnitude exceeds 1"),
     # the first offending edge in file order is the one reported
     ("0 1 5\n3 3 5\n0 9 5", "loop edge 3"),
+    ("0 1", "malformed edge line 2"),
+    ("0 1 5\n1 2 3 4", "malformed edge line 3"),
+    ("0 1 5\n1 x 5", "non-integer token on edge line 3"),
+    ("0 1 2.5", "non-integer token on edge line 2"),
 ])
 def test_hostile_instance_file_exits_2(tmp_path, capsys, edges, message):
     bad = tmp_path / "bad.txt"

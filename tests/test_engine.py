@@ -199,6 +199,13 @@ def test_trace_text_roundtrip():
     assert back.tau0 == trace.tau0
     with pytest.raises(fb.ModelError):
         fb.trace_from_text(trace.instance, "1 0 1 2 5\n")  # no tau0 header
+    # blank lines, comments and unknown headers are skipped
+    lines = text.splitlines()
+    lines[1:1] = ["# note written by hand", "", "# foo bar", "#"]
+    lines.insert(len(lines) // 2, "   ")
+    back = fb.trace_from_text(trace.instance, "\n".join(lines) + "\n")
+    assert back.steps == trace.steps and back.tau0 == trace.tau0
+    assert fb.trace_to_text(back) == text
 
 
 def test_configurations_walk():

@@ -169,13 +169,14 @@ def _half_certificate_with_arcs(min_arcs):
 @pytest.fixture()
 def fallbacks(monkeypatch):
     calls = []
-    real = certificates._rational_row_rank
+    real = certificates._row_rank
 
-    def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counting(red, p=None):
+        if p is None:
+            calls.append(len(red))
+        return real(red, p)
 
-    monkeypatch.setattr(certificates, "_rational_row_rank", counting)
+    monkeypatch.setattr(certificates, "_row_rank", counting)
     return calls
 
 
@@ -225,5 +226,5 @@ def test_validator_fallback_overrules_an_unlucky_prime(fallbacks, monkeypatch):
         vals=np.array([certificates._VALIDATOR_PRIME]), col_labels=_labels(trace, [arc])))
     assert fb.validate_certificate(one, trace).valid
     assert fallbacks == [1]
-    assert not certificates._full_row_rank_mod_p(np.array([[certificates._VALIDATOR_PRIME]]))
+    assert certificates._row_rank(np.array([[0]]), certificates._VALIDATOR_PRIME) == 0
     assert certificates._VALIDATOR_PRIME != fb.matrices._PRIME

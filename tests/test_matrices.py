@@ -147,8 +147,8 @@ def test_exact_rank_on_sign_matrices():
 
 
 def test_exact_rank_on_natural_cycle_matrices():
-    # column-skipping Bareiss steps must still rescale by piv / prev: these
-    # rank-deficient cycle matrices of natural k>=3 FLIP runs caught it
+    # rank-deficient cycle matrices of natural k>=3 FLIP runs, against the
+    # Fraction oracle on the transpose of their nonzero rows
     for n, k in ((32, 3), (48, 3), (40, 4), (64, 4)):
         for seed in range(5):
             rule = ("first", "best", "random")[seed % 3]
@@ -158,11 +158,17 @@ def test_exact_rank_on_natural_cycle_matrices():
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
+def rational_calls(monkeypatch):
+    """Calls of the rational fallback, _rref over Q."""
     calls = []
-    bareiss = fb.matrices._bareiss_rank
-    monkeypatch.setattr(fb.matrices, "_bareiss_rank",
-                        lambda rows: calls.append(1) or bareiss(rows))
+    rref = fb.matrices._rref
+
+    def counting(red, p=None):
+        if p is None:
+            calls.append(1)
+        return rref(red, p)
+
+    monkeypatch.setattr(fb.matrices, "_rref", counting)
     return calls
 
 
@@ -192,7 +198,7 @@ def _planted_matrix(rng):
     return rows
 
 
-def test_exact_rank_on_planted_deficiency_against_fraction_oracle(bareiss_calls):
+def test_exact_rank_on_planted_deficiency_against_fraction_oracle(rational_calls):
     deficient = 0
     for seed in range(320):
         rows = _planted_matrix(random.Random(f"planted:{seed}"))
@@ -202,7 +208,13 @@ def test_exact_rank_on_planted_deficiency_against_fraction_oracle(bareiss_calls)
         assert fb.exact_rank([list(c) for c in zip(*rows)]) == want, seed
     assert deficient >= 240
     # both the certified path and the fallback were exercised
-    assert 0 < len(bareiss_calls) < 2 * 320
+    assert 0 < len(rational_calls) < 2 * 320
+
+
+_WIDE = [[3, 0, 1, -2, 5, 2 ** 70, 7],
+         [0, 0, 0, 0, 0, 0, 0],
+         [6, 0, 2, -4, 10, 2 ** 71, 14],
+         [1, 0, -1, 4, 2, 3, 0]]
 
 
 @pytest.mark.parametrize("rows, rank", [
@@ -210,13 +222,19 @@ def test_exact_rank_on_planted_deficiency_against_fraction_oracle(bareiss_calls)
     ([[2 ** 31 - 1, 0], [0, 1]], 2),      # an unlucky prime hides one pivot
     ([[2, 1], [4, 2]], 1),                # kernel (1, -2)/2 is not integral
     ([[2 ** 70, 1], [2 ** 70, 1]], 1),    # entries beyond int64
+    # wide and dense, with a zero row, a zero column and an entry beyond
+    # int64: dropped and transposed once, then reduced over Q
+    (_WIDE, 2),
+    ([list(c) for c in zip(*_WIDE)], 2),
 ])
-def test_exact_rank_falls_back_to_bareiss(rows, rank, bareiss_calls):
-    assert fb.exact_rank(rows) == rank
-    assert bareiss_calls
+def test_exact_rank_falls_back_to_bareiss(rows, rank, rational_calls):
+    # named for the Bareiss fallback it first tested; the fallback is now
+    # the same _rref run over Q
+    assert fb.exact_rank(rows) == rank == _fraction_rank(rows)
+    assert rational_calls
 
 
-def test_natural_sign_matrices_need_no_fallback(bareiss_calls):
+def test_natural_sign_matrices_need_no_fallback(rational_calls):
     # full-rank pair matrices and rank-deficient cycle matrices alike are
     # decided by the mod-p pass and an integer kernel
     deficient = 0
@@ -224,7 +242,7 @@ def test_natural_sign_matrices_need_no_fallback(bareiss_calls):
         for seed in range(4):
             p = fb.build_P(run_random(n, k, seed), "pairs" if k == 2 else "cycles")
             rank = fb.exact_rank(p)
-            assert not bareiss_calls
+            assert not rational_calls
             support = [r for r in _dense(p) if any(r)]
             assert rank == _fraction_rank([list(c) for c in zip(*support)])
             deficient += rank < min(len(support), p.n_cols)
