@@ -247,12 +247,12 @@ def find_critical_block(moves: Sequence[Move], beta: Beta) -> BlockView:
 
     A window of length L holds s = L - r distinct vertices, where r counts
     the repeat pairs (prev[t], t) inside it (prev[t] is the last earlier
-    move of moves[t]'s vertex), so it qualifies iff r >= need(L) = L -
-    s_max[L].  A length is skipped when fewer than need(L) pairs have gap
-    <= L-1; otherwise one integer difference-array pass counts r for every
-    window.  When no window qualifies, every longer window holds at least
-    L - max(r) distinct vertices, so the search jumps to the first length
-    whose s_max reaches that.  O(ell log ell + passes * (ell + pairs)).
+    move of moves[t]'s vertex), so it qualifies iff r >= need(L) =
+    beta.ceil_singleton_bound(L).  A length is skipped when fewer than
+    need(L) pairs have gap <= L-1; otherwise one integer difference-array
+    pass counts r for every window.  When none qualifies, every longer
+    window holds at least x = L - max(r) distinct vertices, so the search
+    jumps to beta.ceil_threshold(x).  O(ell log ell + passes*(ell + pairs)).
     """
     ell = len(moves)
     last: dict = {}
@@ -268,10 +268,9 @@ def find_critical_block(moves: Sequence[Move], beta: Beta) -> BlockView:
     prev, time = prev[order], time[order]
     # fits[L] = number of pairs with gap <= L - 1, i.e. that fit a length-L window
     fits = [0] + np.cumsum(np.bincount(time - prev, minlength=ell + 1))[:ell].tolist()
-    s_max = beta.s_max_table(ell)
     length = 1
     while length <= ell:
-        need = length - s_max[length]
+        need = beta.ceil_singleton_bound(length)
         if fits[length] < need:
             length += 1
             continue
@@ -286,7 +285,7 @@ def find_critical_block(moves: Sequence[Move], beta: Beta) -> BlockView:
         if hit.size:
             start = int(hit[0])
             return BlockView(parent=tuple(moves), t1=start + 1, t2=start + length)
-        length = bisect.bisect_left(s_max, length - int(repeats.max()))
+        length = beta.ceil_threshold(length - int(repeats.max()))
     raise BlockNotFoundError(
         f"no block of the {ell}-step sequence satisfies len >= (1+{beta})*s")
 

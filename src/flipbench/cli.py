@@ -14,8 +14,8 @@ from .analysis import (DEFAULT_CYCLE_CAP, BlockNotFoundError, classify_cyclic,
                        cycles, cyclic_acyclic_blocks, find_critical_block,
                        occurrence_stats, surplus)
 from .certificates import CERTIFICATE_MODES, certify
-from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, run_flip,
-                     trace_from_text, trace_to_text)
+from .engine import (DEFAULT_CAP, PIVOT_RULES, PivotRule, check_state_cells,
+                     run_flip, trace_from_text, trace_to_text)
 from .harness import parse_config, rows_to_csv, run_experiment
 from .model import (Instance, ModelError, parse_configuration,
                     random_configuration)
@@ -44,6 +44,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
+    check_state_cells(inst.n, inst.k)  # before a start of n labels is drawn
     if args.tau0:
         with open(args.tau0) as fh:
             tau0 = parse_configuration(fh.read())

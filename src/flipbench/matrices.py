@@ -159,7 +159,8 @@ def exact_rank(mat) -> int:
     """Rank over the rationals: one row reduction, certified mod p, run
     over Q when the certificate cannot be completed.
 
-    Accepts a SignMatrix or dense integer rows (a list or an array).
+    Accepts a SignMatrix or dense integer rows (a list or an array); any
+    other entry, or a ragged or non-2-D input, raises ModelError.
     _rref mod p = 2**31 - 1 finds r pivots: a nonsingular r x r minor
     mod p is nonsingular over Q, so rank >= r.  Below full column rank,
     each free column's kernel vector is read off the reduced form, lifted
@@ -183,12 +184,15 @@ def _tall(mat) -> np.ndarray:
         a = np.zeros((len(support), mat.n_cols), dtype=np.int64)
         a[at, np.repeat(np.arange(mat.n_cols), np.diff(mat.ptr))] = mat.vals
     else:
-        try:
-            a = np.asarray(mat, dtype=np.int64)
-        except OverflowError:
-            a = np.array(mat, dtype=object)
-        if a.ndim != 2:
+        a = np.array(mat, dtype=object)  # each entry as given, never cast
+        if not a.size:
             return np.zeros((0, 0), dtype=np.int64)
+        if a.ndim != 2 or not all(isinstance(x, (int, np.integer)) for x in a.flat):
+            raise ModelError("exact_rank takes a matrix of integer entries")
+        try:
+            a = a.astype(np.int64)
+        except OverflowError:
+            pass  # an entry past int64 keeps the object array
         a = a[a.any(axis=1)]
     a = a[:, a.any(axis=0)]
     return a.T if a.shape[0] < a.shape[1] else a

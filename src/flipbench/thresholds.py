@@ -1,8 +1,8 @@
 """Exact comparisons against the critical-block threshold 1+beta.
 
-beta is either a rational or the irrational optimum 1/sqrt(2).  In the
-latter case every test is reduced to an integer inequality (squares of
-both sides), so block classification never depends on floating point.
+beta is a rational or the irrational optimum 1/sqrt(2).  Beta.at_least is
+the one test of x >= beta*y; qualifies and the three ceilings read it, so
+block classification never depends on floating point.
 """
 
 from __future__ import annotations
@@ -49,59 +49,43 @@ class Beta:
     def __float__(self):
         return 1 / math.sqrt(2) if self.rational is None else float(self.rational)
 
+    def at_least(self, x: int, y: int) -> bool:
+        """x >= beta*y for integers x, y, exactly: a cross-multiplication for
+        a rational beta, else sqrt(2)*x >= y by signs, then by squares."""
+        if self.rational is not None:
+            return x * self.rational.denominator >= self.rational.numerator * y
+        if (x >= 0) != (y >= 0):
+            return x >= 0
+        return 2 * x * x >= y * y if x >= 0 else 2 * x * x <= y * y
+
     def qualifies(self, length: int, s: int) -> bool:
         """length >= (1+beta)*s, exactly."""
-        if self.rational is not None:
-            den = self.rational.denominator
-            return length * den >= (self.rational.numerator + den) * s
-        diff = length - s
-        return diff >= 0 and 2 * diff * diff >= s * s
-
-    def s_max_table(self, ell: int) -> list:
-        """[s_max(0), ..., s_max(ell)]: s_max(L) is the largest s with
-        qualifies(L, s).
-
-        qualifies(L, s) is monotone in s, and s_max(L + 1) <= s_max(L) + 1
-        because 1 + beta > 1, so one qualifies call per length builds it.
-        """
-        table = [0]
-        s = 0
-        for length in range(1, ell + 1):
-            if self.qualifies(length, s + 1):
-                s += 1
-            table.append(s)
-        return table
+        return self.at_least(length - s, s)
 
     def ceil_threshold(self, s: int) -> int:
         """ceil((1+beta)*s), exactly."""
-        if self.rational is not None:
-            return s + math.ceil(self.rational * s)
-        return s + _ceil_over_sqrt2_plus(s, 0)
+        return s + self._least(s, 0)
 
     def ceil_singleton_bound(self, s: int) -> int:
         """ceil(beta/(1+beta) * s), exactly."""
-        if self.rational is not None:
-            b = self.rational
-            return math.ceil(b * s / (1 + b))
-        return _ceil_over_sqrt2_plus(s, 1)
+        return self._least(s, 1)
 
     def ceil_rank_bound(self, s: int) -> int:
         """ceil(beta/(1+2*beta) * s), exactly."""
+        return self._least(s, 2)
+
+    def _least(self, s: int, a: int) -> int:
+        """The least t >= 0 with at_least(t, s - a*t), i.e.
+        ceil(beta*s / (1 + a*beta)), for s, a >= 0.  The count starts at
+        the exact floor num*s // (den + a*num) for beta = num/den; for
+        1/sqrt(2), sqrt2 < (r+1)/s with r = isqrt(2*s^2), so
+        s^2 // (r + 1 + a*s) is at most two short of ceil(s/(sqrt2 + a)).
+        """
         if self.rational is not None:
-            b = self.rational
-            return math.ceil(b * s / (1 + 2 * b))
-        return _ceil_over_sqrt2_plus(s, 2)
-
-
-def _ceil_over_sqrt2_plus(s: int, a: int) -> int:
-    """ceil(s / (sqrt2 + a)) for s, a >= 0: the smallest t >= 0 with
-    t*(sqrt2 + a) >= s, i.e. s - a*t <= 0 or 2*t^2 >= (s - a*t)^2.
-
-    With r = isqrt(2*s^2), sqrt2 < (r+1)/s, so s^2 // (r + 1 + a*s) never
-    exceeds the answer and falls short of it by at most two; the search
-    counts up from there.
-    """
-    t = s * s // (math.isqrt(2 * s * s) + 1 + a * s)
-    while s - a * t > 0 and 2 * t * t < (s - a * t) ** 2:
-        t += 1
-    return t
+            num, den = self.rational.numerator, self.rational.denominator
+            t = num * s // (den + a * num)
+        else:
+            t = s * s // (math.isqrt(2 * s * s) + 1 + a * s)
+        while not self.at_least(t, s - a * t):
+            t += 1
+        return t

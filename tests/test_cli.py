@@ -7,7 +7,7 @@ import random
 import pytest
 
 import flipbench as fb
-from flipbench import certificates, harness
+from flipbench import certificates, cli, harness
 from flipbench.cli import main
 from flipbench.thresholds import Beta
 
@@ -181,6 +181,34 @@ def test_certify_exits_1_on_an_invalid_certificate(tmp_path, capsys, monkeypatch
                    "# reason graph has a directed cycle"]
 
 
+@pytest.mark.parametrize("edges, records, beta, message", [
+    # vertex 0, the only one to move, moves twice: no singleton to root the BFS
+    (["0 1 5", "0 2 7", "1 2 -3"], ["1 0 1 2 12", "2 0 2 1 -12"], "1/sqrt2",
+     "block has no singleton vertices"),
+    # vertex 0's pair holds no move of a neighbour, so no good arc leaves it
+    (["0 2 7", "1 2 -3"], ["1 0 1 2 7", "2 1 1 2 -3", "3 0 2 1 -7"], "1/2",
+     "reverse BFS did not reach vertices [0]; block is not critical"),
+])
+def test_certify_k2_refuses_a_block_it_cannot_certify(tmp_path, capsys, edges,
+                                                      records, beta, message):
+    text = "3 2 1048576 1 0\n" + "".join(f"{e}\n" for e in edges)
+    ipath, tpath = tmp_path / "inst.txt", tmp_path / "trace.txt"
+    ipath.write_text(text)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    tpath.write_text(f"# instance {digest}\n# tau0 1 1 1\n"
+                     + "".join(f"{r}\n" for r in records))
+    assert main(["certify", "--instance", str(ipath), "--trace", str(tpath),
+                 "--mode", "k2", "--beta", beta]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_with_a_negative_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("2 2 1048576 1 0\n0 1 5\n")
+    assert main(["run", "--instance", str(path), "--cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: cap must be non-negative\n"
+
+
 def test_experiment_csv(tmp_path):
     cfgp = tmp_path / "cfg.txt"
     cfgp.write_text("mode scaling\nn_grid 8\nk 2\ntrials 2\nseed 9\n")
@@ -290,6 +318,7 @@ def test_hostile_instance_file_exits_2(tmp_path, capsys, edges, message):
     ("4 2 1048576 -1/2 0", "phi must be positive, not -1/2"),
     ("4 2 1048576 1 7", "complete flag must be 0 or 1, not 7"),
     ("4 2 1048576 1 -1", "complete flag must be 0 or 1, not -1"),
+    ("0 2 1048576 1 0", "need at least one vertex"),
 ])
 def test_bad_instance_header_exits_2(tmp_path, capsys, header, message):
     bad = tmp_path / "bad.txt"
@@ -332,6 +361,19 @@ def test_run_past_the_state_budget_exits_2(tmp_path, capsys):
     assert main(["run", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a FLIP state of n=4097 vertices and k=2 parts")
+
+
+def test_run_refuses_past_the_state_budget_before_drawing_a_start(
+        tmp_path, capsys, monkeypatch):
+    # a start holds n labels: 10^8 of them would be drawn only to be refused
+    def no_start(*args):
+        raise AssertionError("a start was drawn past the state budget")
+    monkeypatch.setattr(cli, "random_configuration", no_start)
+    path = tmp_path / "inst.txt"
+    path.write_text("100000000 2 1048576 1 0\n")
+    assert main(["run", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a FLIP state of n=100000000")
 
 
 @pytest.mark.parametrize("command", [["certify", "--mode", "half"], ["analyze"]])

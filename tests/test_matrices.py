@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flipbench as fb
@@ -138,6 +139,16 @@ def test_exact_rank_against_fraction_oracle():
     assert fb.exact_rank([]) == 0
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.5]], [[1.5, 3], [1, 2]],          # int64 would truncate them to rank 0 and 2
+    [[Fraction(1, 2), 1], [1, 2]],
+    [1, 2], [[1, 2], [3]],                # not a matrix: a row, ragged rows
+])
+def test_exact_rank_refuses_non_integer_entries(rows):
+    with pytest.raises(fb.ModelError, match="exact_rank takes a matrix of integer entries"):
+        fb.exact_rank(rows)
+
+
 def test_exact_rank_on_sign_matrices():
     for seed in range(6):
         k = 2 + seed % 3
@@ -222,6 +233,7 @@ _WIDE = [[3, 0, 1, -2, 5, 2 ** 70, 7],
     ([[2 ** 31 - 1, 0], [0, 1]], 2),      # an unlucky prime hides one pivot
     ([[2, 1], [4, 2]], 1),                # kernel (1, -2)/2 is not integral
     ([[2 ** 70, 1], [2 ** 70, 1]], 1),    # entries beyond int64
+    ([[2 ** 64 - 1, 1], [1, 2 ** 64 - 1]], 2),  # beyond int64, within uint64
     # wide and dense, with a zero row, a zero column and an entry beyond
     # int64: dropped and transposed once, then reduced over Q
     (_WIDE, 2),
@@ -232,6 +244,12 @@ def test_exact_rank_falls_back_to_bareiss(rows, rank, rational_calls):
     # the same _rref run over Q
     assert fb.exact_rank(rows) == rank == _fraction_rank(rows)
     assert rational_calls
+
+
+def test_exact_rank_reads_uint64_entries_past_int64():
+    # a cast to int64 would wrap both diagonal entries to -1: rank 1
+    rows = [[2 ** 64 - 1, 1], [1, 2 ** 64 - 1]]
+    assert fb.exact_rank(np.array(rows, dtype=np.uint64)) == 2 == _fraction_rank(rows)
 
 
 def test_natural_sign_matrices_need_no_fallback(rational_calls):

@@ -73,24 +73,52 @@ def test_rational_beta():
     assert half.qualifies(6, 4) and not half.qualifies(5, 4)
 
 
+RATIONALS = (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(1, 7),
+             Fraction(5, 3), Fraction(7071, 10000), Fraction(9))
+
+
 def test_rational_qualifies_matches_fraction_form():
-    for value in (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(1, 7),
-                  Fraction(5, 3), Fraction(7071, 10000), Fraction(9)):
+    for value in RATIONALS:
         beta = Beta.of(value)
         for s in range(0, 60):
             for length in range(0, 12 * s + 3):
                 assert beta.qualifies(length, s) == (length >= (1 + value) * s)
 
 
-def test_s_max_table():
+def test_rational_ceilings_oracle():
+    for value in RATIONALS:
+        beta = Beta.of(value)
+        for s in SIZES:
+            assert beta.ceil_threshold(s) == math.ceil((1 + value) * s)
+            assert beta.ceil_singleton_bound(s) == math.ceil(value / (1 + value) * s)
+            assert beta.ceil_rank_bound(s) == math.ceil(value / (1 + 2 * value) * s)
+
+
+def test_at_least_over_all_signs():
+    # for 1/sqrt(2), x - y/sqrt2 is 0 or at least 1/150 in size here, far
+    # above the sandwich's error
+    for value in (None, *RATIONALS):
+        beta = Beta(rational=value)
+        b = _LO / 2 if value is None else value
+        for x in range(-40, 41):
+            for y in range(-40, 41):
+                assert beta.at_least(x, y) == (x >= b * y)
+
+
+def test_block_search_ceilings():
+    # find_critical_block reads need(L) = L - s_max(L), with s_max(L) the
+    # largest s with qualifies(L, s), as ceil_singleton_bound(L), and the
+    # least length a block of s vertices can have as ceil_threshold(s)
     for beta in (Beta.sqrt_half(), Beta.of(2), Beta.of(Fraction(1, 2)),
                  Beta.of(Fraction(3, 2)), Beta.of(Fraction(1, 7))):
-        table = beta.s_max_table(300)
-        assert len(table) == 301
-        for length, s_max in enumerate(table):
+        for length in range(0, 301):
+            s_max = length - beta.ceil_singleton_bound(length)
             assert beta.qualifies(length, s_max)
             assert not beta.qualifies(length, s_max + 1)
-    assert Beta.of(2).s_max_table(0) == [0]
+        for s in range(0, 301):
+            least = beta.ceil_threshold(s)
+            assert beta.qualifies(least, s)
+            assert least == 0 or not beta.qualifies(least - 1, s)
 
 
 def test_parse_and_str():
