@@ -1,10 +1,11 @@
 """FLIP execution engine: pivot rules, validated traces, replay, trace files.
 
-A run keeps its scores in numpy arrays: at k = 2 one gain vector
-W @ sigma (sigma = +1 in part 1, -1 in part 2), at k >= 3 an (n, k)
-array of every vertex's weight numerator towards each part.  Scoring
-all moves of a step is one vectorised pass, and a move is one row
-update at k = 2 and two column updates at k >= 3.  A supplied move
+A run keeps its state in numpy arrays: at k = 2 one gain vector
+W @ sigma (sigma = +1 in part 1, -1 in part 2), at k >= 3 a part-major
+(k, n) array of every vertex's weight numerator towards each part.
+Scoring all moves of a step is one vectorised pass into buffers made
+once per run, and a move is one row update at k = 2 and two at k >= 3,
+so a step allocates no array.  A supplied move
 sequence (replay, trace files, verify_trace) is instead checked by
 model.validate_move and scored by the model's step-sign kernel.  All
 deltas are recorded as exact Python integer numerators over the
@@ -27,7 +28,7 @@ from .model import (Instance, InvalidMoveError, ModelError, Move, Views,
 DEFAULT_CAP = 10 ** 8
 PIVOT_RULES = ("first", "best", "random")
 # the most cells of a FLIP state, n * max(n, k): the n x n weight matrix, 2W
-# at k = 2, and n x k sums and scores at k >= 3, 128 MiB apiece in int64
+# at k = 2, and k x n sums and n x k scores at k >= 3, 128 MiB apiece in int64
 MAX_STATE_CELLS = 2 ** 24
 
 
@@ -86,7 +87,10 @@ class Trace(Views):
         return self.derived("delta_nums", lambda: tuple(d for _, d in self.steps))
 
     def configuration_at(self, t: int) -> tuple:
-        """tau_t, the configuration after step t (t=0 gives tau0)."""
+        """tau_t, the configuration after step t (t=0 gives tau0), for t
+        in 0..len(self); any other t is a ModelError."""
+        if not 0 <= t <= len(self.steps):
+            raise ModelError(f"step {t} is outside 0..{len(self.steps)}")
         tau = list(self.tau0)
         for move, _ in self.steps[:t]:
             tau[move.v] = move.q
@@ -104,62 +108,83 @@ class _State:
     1 and -1 in part 2.  A vertex's only move improves by
     sigma[v] * gain[v], so scoring a step is one product, and a move is
     one row update, gain -= 2 * sigma[v] * W[v], read from a copy of 2W.
-    k >= 3: sums[v, p - 1] is the weight numerator from v into part p,
-    so moving v to q improves by sums[v, tau[v] - 1] - sums[v, q - 1].
-    The (n, k) deltas read flat in (vertex, part) order with no copy, and
-    a move updates two columns.
-    The dtype is the weight matrix's: int64 within its overflow rule,
-    Python ints beyond it, so no decision uses floats.
+    k >= 3: the sums are part-major, sums[p - 1, v] the weight numerator
+    from v into part p, so moving v to q improves by
+    sums[tau[v] - 1, v] - sums[q - 1, v].  Scoring a step is one take of
+    every vertex's own-part sum and one subtraction, written through the
+    transposed view of an (n, k) buffer so the scores read flat in
+    (vertex, part) order; a move updates two contiguous rows.
+    The scores and their positive mask are buffers made once per run, so
+    a step allocates no array.  The dtype is the weight matrix's: int64
+    within its overflow rule, Python ints beyond it, so no decision uses
+    floats.  tau is a list of Python ints.
     """
 
     def __init__(self, inst: Instance, tau0):
         check_state_cells(inst.n, inst.k)
         check_configuration(inst, tau0)
-        self.k = inst.k
+        n, k = inst.n, inst.k
+        self.k = k
+        self.tau = [int(p) for p in tau0]
         weights = inst.weight_matrix()
-        tau = np.array(tau0, dtype=np.intp)
-        if self.k == 2:
-            self.sigma = np.where(tau == 1, 1, -1).astype(weights.dtype)
+        # a 0-d operand of the state's dtype: comparing to a Python 0 costs twice as much
+        self.zero = np.zeros((), dtype=weights.dtype)
+        if k == 2:
+            self.sigma = np.array([3 - 2 * p for p in self.tau], dtype=weights.dtype)
             self.gain = weights @ self.sigma
             # rows of 2W: a move is then one in-place pass with no temporary
-            self.double = 2 * weights
+            self.double = list(2 * weights)
+            self.scores = np.empty(n, dtype=weights.dtype)
         else:
-            self.weights = weights
-            self.tau = tau
-            parts = tau[:, None] == np.arange(1, self.k + 1)
-            self.sums = weights @ parts.astype(np.int64)
-            # flat index of sums[v, tau[v] - 1]: take() on it beats 2-d fancy indexing
-            self.own = np.arange(inst.n) * self.k + tau - 1
+            tau = np.array(self.tau, dtype=np.intp)
+            sums = (np.arange(1, k + 1)[:, None] == tau).astype(np.int64) @ weights
+            # lists of row views: indexing one skips numpy's view construction
+            self.weight_rows, self.sums, self.sum_rows = list(weights), sums, list(sums)
+            # flat index of sums[tau[v] - 1, v]: take() on it beats 2-d fancy indexing
+            self.own = (tau - 1) * n + np.arange(n)
+            self.own_sums = np.empty(n, dtype=weights.dtype)
+            self.scores = np.empty(n * k, dtype=weights.dtype)
+            self.by_part = self.scores.reshape(n, k).T
+            self.n = n
+        self.positive = np.empty(len(self.scores), dtype=bool)
 
-    def deltas(self):
-        """Improvement numerator of every candidate move, indexed as
-        move_at reads it: one move per vertex at k = 2, and (vertex, part)
-        order at k >= 3, where a vertex's own part scores 0."""
+    def score(self) -> None:
+        """Write the improvement numerator of every candidate move into
+        scores, indexed as apply reads it: one move per vertex at k = 2,
+        and (vertex, part) order at k >= 3, where a vertex's own part
+        scores 0."""
         if self.k == 2:
-            return self.sigma * self.gain
-        return (self.sums.ravel().take(self.own)[:, None] - self.sums).ravel()
+            np.multiply(self.sigma, self.gain, out=self.scores)
+        else:
+            # own is always in range: "clip" skips the buffered bounds check of out=
+            self.sums.take(self.own, out=self.own_sums, mode="clip")
+            np.subtract(self.own_sums, self.sums, out=self.by_part)
 
-    def move_at(self, i) -> Move:
-        if self.k == 2:
-            p = 1 if self.sigma[i] > 0 else 2
-            return Move(int(i), p, 3 - p)
-        v, q = divmod(int(i), self.k)
-        return Move(v, int(self.tau[v]), q + 1)
+    def mark_positive(self) -> np.ndarray:
+        """The candidates with a positive score, as a boolean mask."""
+        return np.greater(self.scores, self.zero, out=self.positive)
 
-    def apply(self, move: Move) -> None:
+    def apply(self, i: int) -> Move:
+        """Make candidate i's move and return it."""
+        tau = self.tau
         if self.k == 2:
-            if move.p == 1:
-                self.gain -= self.double[move.v]
-                self.sigma[move.v] = -1
+            p = tau[i]
+            if p == 1:
+                self.gain -= self.double[i]
+                self.sigma[i] = -1
             else:
-                self.gain += self.double[move.v]
-                self.sigma[move.v] = 1
-        else:
-            row = self.weights[move.v]
-            self.sums[:, move.p - 1] -= row
-            self.sums[:, move.q - 1] += row
-            self.tau[move.v] = move.q
-            self.own[move.v] += move.q - move.p
+                self.gain += self.double[i]
+                self.sigma[i] = 1
+            tau[i] = 3 - p
+            return tuple.__new__(Move, (i, p, 3 - p))
+        v, q = divmod(i, self.k)
+        p, q = tau[v], q + 1
+        row = self.weight_rows[v]
+        self.sum_rows[p - 1] -= row
+        self.sum_rows[q - 1] += row
+        self.own[v] += (q - p) * self.n
+        tau[v] = q
+        return tuple.__new__(Move, (v, p, q))
 
 
 def check_state_cells(n: int, k: int) -> None:
@@ -178,29 +203,31 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
     if cap < 0:
         raise ModelError("cap must be non-negative")
     state = _State(inst, tau0)
-    rng = random.Random(f"flip:{rule.seed}") if rule.variant == "random" else None
+    tau0 = tuple(state.tau)
+    score, mark_positive, apply = state.score, state.mark_positive, state.apply
+    scores, variant = state.scores, rule.variant
+    rng = random.Random(f"flip:{rule.seed}") if variant == "random" else None
     steps = []
     cap_hit = False
     while True:
-        d = state.deltas()
+        score()
         if len(steps) >= cap:
-            cap_hit = bool((d > 0).any())
+            cap_hit = bool(mark_positive().any())
             break
-        if rule.variant == "random":
-            # d is 1-d: nonzero() is flatnonzero without its ravel
-            cands = (d > 0).nonzero()[0]
+        if variant == "random":
+            # positive is 1-d: nonzero() is flatnonzero without its ravel
+            cands = mark_positive().nonzero()[0]
             if not len(cands):
                 break
-            i = cands[rng.randrange(len(cands))]
+            i = cands.item(rng.randrange(len(cands)))
         else:
             # argmax takes the first maximum: the (vertex, part) tie-break
-            i = (d > 0 if rule.variant == "first" else d).argmax()
-            if d[i] <= 0:
-                break
-        move = state.move_at(i)
-        steps.append((move, int(d[i])))
-        state.apply(move)
-    return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(steps),
+            i = int((mark_positive() if variant == "first" else scores).argmax())
+        delta = scores.item(i)
+        if delta <= 0:
+            break
+        steps.append((apply(i), delta))
+    return Trace(instance=inst, tau0=tau0, steps=tuple(steps),
                  step_cap_hit=cap_hit, rule=rule.variant, seed=rule.seed)
 
 
@@ -228,8 +255,8 @@ def replay(inst: Instance, tau0, moves: Iterable[Move]) -> Trace:
     deltas = []
     for _, chunk, taus in sequence_chunks(inst, tau0, moves):
         deltas.extend(step_deltas(inst, taus, chunk).tolist())
-    return Trace(instance=inst, tau0=tuple(tau0), steps=tuple(zip(moves, deltas)),
-                 rule="replay")
+    return Trace(instance=inst, tau0=tuple(map(int, tau0)),
+                 steps=tuple(zip(moves, deltas)), rule="replay")
 
 
 def slice_trace(trace: Trace, t1: int, t2: int) -> Trace:

@@ -216,11 +216,17 @@ def complete_edges(n: int):
 # --- configurations ----------------------------------------------------------
 
 def check_configuration(inst: Instance, tau: Sequence[int]) -> None:
+    """tau must hold inst.n part labels, each an int or a numpy integer
+    (a bool is neither) in 1..inst.k."""
     if len(tau) != inst.n:
         raise ModelError(f"configuration has {len(tau)} labels, instance has {inst.n} vertices")
-    for v, part in enumerate(tau):
-        if not 1 <= part <= inst.k:
-            raise ModelError(f"vertex {v} has part {part} outside 1..{inst.k}")
+    for label_type in set(map(type, tau)):
+        if label_type is bool or not issubclass(label_type, (int, np.integer)):
+            v = next(v for v, part in enumerate(tau) if type(part) is label_type)
+            raise ModelError(f"vertex {v} has part label {tau[v]!r}, not an integer")
+    if not 1 <= min(tau) <= max(tau) <= inst.k:
+        v = next(v for v, part in enumerate(tau) if not 1 <= part <= inst.k)
+        raise ModelError(f"vertex {v} has part {tau[v]} outside 1..{inst.k}")
 
 
 def parse_configuration(text: str) -> Configuration:

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flipbench as fb
@@ -94,6 +95,32 @@ def test_flip_state_is_bounded_before_allocation(monkeypatch):
     monkeypatch.setattr(engine, "MAX_STATE_CELLS", 5)
     with pytest.raises(fb.ModelError, match="n=2 vertices and k=3 parts has 6 cells"):
         fb.run_flip(smoothed_instance(2, 3, 1), (1, 1))
+
+
+@pytest.mark.parametrize("label", [2.5, 2.0, True, np.float64(2.5), np.True_],
+                         ids=["2.5", "2.0", "True", "np.float64", "np.True_"])
+def test_run_flip_refuses_a_non_integer_start_label(label):
+    # a label truncated to an integer part would leave the run's own trace
+    # failing verify_trace at its first move of vertex 3
+    inst = fb.make_instance("complete", 8, 3, fb.SmoothingProfile(phi=1, seed=0))
+    tau0 = (3, 1, 1, label, 2, 3, 3, 2)
+    with pytest.raises(fb.ModelError, match=r"^vertex 3 has part label .+, not an integer$"):
+        fb.run_flip(inst, tau0)
+    with pytest.raises(fb.ModelError, match="not an integer"):
+        fb.replay(inst, tau0, [])
+
+
+def test_run_flip_records_python_ints_for_a_numpy_start():
+    inst = smoothed_instance(16, 3, 4)
+    tau0 = random_tau0(16, 3, 4)
+    for start in (np.array(tau0), np.array(tau0, dtype=np.int8)):
+        for variant in fb.engine.PIVOT_RULES:
+            rule = fb.PivotRule(variant=variant, seed=3)
+            trace = fb.run_flip(inst, start, rule)
+            assert len(trace) > 0 and trace.tau0 == tau0
+            assert all(type(p) is int for p in trace.tau0)
+            _assert_python_ints(trace)
+            assert trace.steps == fb.run_flip(inst, tau0, rule).steps
 
 
 def test_replay_matches_run():
@@ -216,6 +243,16 @@ def test_configurations_walk():
     assert confs[-1] == trace.final_configuration()
     for t in range(len(trace) + 1):
         assert trace.configuration_at(t) == confs[t]
+
+
+def test_configuration_at_refuses_steps_outside_the_trace():
+    trace = run_random(10, 2, 1)
+    assert len(trace) == 5
+    assert trace.configuration_at(0) == trace.tau0
+    assert trace.configuration_at(5) == trace.final_configuration()
+    for t in (-1, -5, 6, 8):
+        with pytest.raises(fb.ModelError, match=rf"^step {t} is outside 0\.\.5$"):
+            trace.configuration_at(t)
 
 
 def reference_flip(inst, tau0, rule, cap):

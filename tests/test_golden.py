@@ -7,12 +7,15 @@ error message instead of a CSV.  The values were recorded before the
 certificate builders read their witness columns from the trace's P
 (`certify_3cut` before the certificate-mode table took over the rank
 campaign's per-k choices, `window_arcs_3cut` before the 3cut windows
-read one run list per cyclic vertex), and pin that refactors keep every output
-byte-identical.
+read one run list per cyclic vertex, `flip_traces` before run_flip's state
+went part-major with per-run score buffers), and pin that refactors keep
+every output byte-identical.
 """
 
 import hashlib
 from fractions import Fraction
+
+import numpy as np
 
 import flipbench as fb
 from flipbench import certificates, harness
@@ -20,7 +23,7 @@ from flipbench.cli import main
 from flipbench.harness import ExperimentConfig
 from flipbench.thresholds import Beta
 
-from conftest import run_random, synth_3cut_blocks
+from conftest import random_tau0, run_random, smoothed_instance, synth_3cut_blocks
 
 GOLDEN = {
     "scaling": "1415354cca9488fd7603183d36bb197499fa4e4c39941386c2cf68d619382caa",
@@ -32,6 +35,7 @@ GOLDEN = {
     "certify_half": "ccb7bb164c8ae6a54bfe3888fe70c91e3413cd0274975434fce55ce11eb5ba52",
     "certify_3cut": "8a147793511e6451fb3e16d83b07c250defe23657b018acae18116cc3457c233",
     "window_arcs_3cut": "0c10cdaf9ff97b342fe33f42ee4b507a2140dc075a9bf8a00f41b9f846a8cfae",
+    "flip_traces": "412f435e0f9712cb5c16babeef5664c6914b1ba02cce5586f3ca535d50391789",
 }
 
 CONFIGS = {
@@ -106,6 +110,30 @@ def _window_arcs_3cut():
                 yield f"{n} {seed} {v} {arcs}"
 
 
+def _flip_traces():
+    """The trace file of every run_flip run over a corpus: k = 2..5 at
+    n = 24 and 64 on complete and G(n, 1/2) instances, every rule at the
+    default cap and at caps 5 and 0, the Python-int state of a
+    denom = 2**70 instance at k = 2 and 3, and one numpy-array start."""
+    runs = []
+    for k in (2, 3, 4, 5):
+        for n in (24, 64):
+            for kind in ("complete", "gnp"):
+                inst = smoothed_instance(n, k, 100 * k + n, kind=kind)
+                runs.append((inst, random_tau0(n, k, (kind, n, k))))
+    for k in (2, 3):
+        wide = fb.make_instance("complete", 24, k, fb.SmoothingProfile(phi=1, seed=k),
+                                denom=2 ** 70)
+        runs.append((wide, random_tau0(24, k, ("wide", k))))
+    for inst, tau0 in runs:
+        for variant in fb.engine.PIVOT_RULES:
+            rule = fb.PivotRule(variant=variant, seed=inst.n + inst.k)
+            for cap in (fb.engine.DEFAULT_CAP, 5, 0):
+                yield fb.trace_to_text(fb.run_flip(inst, tau0, rule, cap=cap))
+    inst = smoothed_instance(64, 3, 7)
+    yield fb.trace_to_text(fb.run_flip(inst, np.array(random_tau0(64, 3, 7))))
+
+
 def compute_digests(tmp_path, capsys, monkeypatch) -> dict:
     out = {mode: _digest(_csv(ExperimentConfig(mode=mode, **kw)) for kw in configs)
            for mode, configs in CONFIGS.items()}
@@ -121,6 +149,7 @@ def compute_digests(tmp_path, capsys, monkeypatch) -> dict:
     out["certify_3cut"] = _digest(
         _certify_outputs(tmp_path, capsys, synth_3cut_blocks(10), "3cut"))
     out["window_arcs_3cut"] = _digest(_window_arcs_3cut())
+    out["flip_traces"] = _digest(_flip_traces())
     return out
 
 
