@@ -3,13 +3,13 @@
 A run keeps its state in numpy arrays: at k = 2 one gain vector
 W @ sigma (sigma = +1 in part 1, -1 in part 2), at k >= 3 a part-major
 (k, n) array of every vertex's weight numerator towards each part.
-Scoring all moves of a step is one vectorised pass into buffers made
-once per run, and a move is one row update at k = 2 and two at k >= 3,
-so a step allocates no array.  A supplied move
-sequence (replay, trace files, verify_trace) is instead checked by
-model.validate_move and scored by the model's step-sign kernel.  All
-deltas are recorded as exact Python integer numerators over the
-instance denominator.
+run_flip has one loop per layout; a step calls no Python-level
+function and allocates no array: best scores every move into a buffer
+made once per run, first and random at k >= 3 only mark the improving
+ones, and a move updates one row at k = 2 and two at k >= 3.  A
+supplied sequence (replay, trace files, verify_trace) is checked by
+model.validate_move and scored by the step-sign kernel.  All deltas are
+exact Python integer numerators over the instance denominator.
 """
 
 from __future__ import annotations
@@ -17,18 +17,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .model import (Instance, InvalidMoveError, ModelError, Move, Views,
-                    check_configuration, hamiltonian, parse_configuration,
-                    sequence_chunks, step_deltas, validate_move)
+                    check_configuration, hamiltonian, is_integer_type,
+                    parse_configuration, sequence_chunks, step_deltas, validate_move)
 
 DEFAULT_CAP = 10 ** 8
 PIVOT_RULES = ("first", "best", "random")
 # the most cells of a FLIP state, n * max(n, k): the n x n weight matrix, 2W
-# at k = 2, and k x n sums and n x k scores at k >= 3, 128 MiB apiece in int64
+# at k = 2, and k x n sums and n x k scores at k >= 3, 128 MiB apiece in int64,
+# besides an n x k mask; the k >= 3 weight rows are views of the matrix
 MAX_STATE_CELLS = 2 ** 24
 
 
@@ -102,29 +104,28 @@ class Trace(Views):
 
 
 class _State:
-    """Mutable FLIP state, run_flip's fast path and nothing else's.
+    """FLIP start state, run_flip's fast path and nothing else's.
 
     k = 2: one gain vector gain = W @ sigma, where sigma[v] is +1 in part
     1 and -1 in part 2.  A vertex's only move improves by
     sigma[v] * gain[v], so scoring a step is one product, and a move is
     one row update, gain -= 2 * sigma[v] * W[v], read from a copy of 2W.
     k >= 3: the sums are part-major, sums[p - 1, v] the weight numerator
-    from v into part p, so moving v to q improves by
-    sums[tau[v] - 1, v] - sums[q - 1, v].  Scoring a step is one take of
-    every vertex's own-part sum and one subtraction, written through the
-    transposed view of an (n, k) buffer so the scores read flat in
-    (vertex, part) order; a move updates two contiguous rows.
-    The scores and their positive mask are buffers made once per run, so
-    a step allocates no array.  The dtype is the weight matrix's: int64
-    within its overflow rule, Python ints beyond it, so no decision uses
-    floats.  tau is a list of Python ints.
+    from v into part p, built one present part at a time, so moving v to
+    q improves by sums[tau[v] - 1, v] - sums[q - 1, v].  A step takes
+    every vertex's own-part sum; best then subtracts into the transposed
+    view of an (n, k) score buffer, and first and random only compare
+    into the same view of the positive mask, so both read flat in
+    (vertex, part) order.  A move updates two contiguous rows.  The
+    buffers are made once per run, so a step allocates no array.  The
+    dtype is the weight matrix's: int64 within its overflow rule, Python
+    ints beyond it, so no decision uses floats.  tau is a list of ints.
     """
 
     def __init__(self, inst: Instance, tau0):
         check_state_cells(inst.n, inst.k)
         check_configuration(inst, tau0)
         n, k = inst.n, inst.k
-        self.k = k
         self.tau = [int(p) for p in tau0]
         weights = inst.weight_matrix()
         # a 0-d operand of the state's dtype: comparing to a Python 0 costs twice as much
@@ -137,54 +138,17 @@ class _State:
             self.scores = np.empty(n, dtype=weights.dtype)
         else:
             tau = np.array(self.tau, dtype=np.intp)
-            sums = (np.arange(1, k + 1)[:, None] == tau).astype(np.int64) @ weights
-            # lists of row views: indexing one skips numpy's view construction
-            self.weight_rows, self.sums, self.sum_rows = list(weights), sums, list(sums)
+            self.sums = np.zeros((k, n), dtype=weights.dtype)
+            # the set, not np.unique, which imports numpy.ma on first use
+            for p in set(self.tau):
+                self.sums[p - 1] = weights[tau == p].sum(axis=0)
+            # views of the read-only matrix's rows, so the instance keeps them
+            self.weight_rows = inst.derived("weight_rows", lambda: list(weights))
             # flat index of sums[tau[v] - 1, v]: take() on it beats 2-d fancy indexing
             self.own = (tau - 1) * n + np.arange(n)
             self.own_sums = np.empty(n, dtype=weights.dtype)
             self.scores = np.empty(n * k, dtype=weights.dtype)
-            self.by_part = self.scores.reshape(n, k).T
-            self.n = n
         self.positive = np.empty(len(self.scores), dtype=bool)
-
-    def score(self) -> None:
-        """Write the improvement numerator of every candidate move into
-        scores, indexed as apply reads it: one move per vertex at k = 2,
-        and (vertex, part) order at k >= 3, where a vertex's own part
-        scores 0."""
-        if self.k == 2:
-            np.multiply(self.sigma, self.gain, out=self.scores)
-        else:
-            # own is always in range: "clip" skips the buffered bounds check of out=
-            self.sums.take(self.own, out=self.own_sums, mode="clip")
-            np.subtract(self.own_sums, self.sums, out=self.by_part)
-
-    def mark_positive(self) -> np.ndarray:
-        """The candidates with a positive score, as a boolean mask."""
-        return np.greater(self.scores, self.zero, out=self.positive)
-
-    def apply(self, i: int) -> Move:
-        """Make candidate i's move and return it."""
-        tau = self.tau
-        if self.k == 2:
-            p = tau[i]
-            if p == 1:
-                self.gain -= self.double[i]
-                self.sigma[i] = -1
-            else:
-                self.gain += self.double[i]
-                self.sigma[i] = 1
-            tau[i] = 3 - p
-            return tuple.__new__(Move, (i, p, 3 - p))
-        v, q = divmod(i, self.k)
-        p, q = tau[v], q + 1
-        row = self.weight_rows[v]
-        self.sum_rows[p - 1] -= row
-        self.sum_rows[q - 1] += row
-        self.own[v] += (q - p) * self.n
-        tau[v] = q
-        return tuple.__new__(Move, (v, p, q))
 
 
 def check_state_cells(n: int, k: int) -> None:
@@ -195,38 +159,81 @@ def check_state_cells(n: int, k: int) -> None:
 
 def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
              cap: int = DEFAULT_CAP) -> Trace:
-    """Run FLIP until local optimality or the step cap.
+    """Run FLIP until local optimality or the step cap, an integer >= 0.
 
     Every recorded delta is strictly positive; hitting the cap marks the
-    trace instead of raising.
+    trace instead of raising.  Each layout has one loop, which reads the
+    rule from two flags and calls no Python-level function per step.
     """
+    if not is_integer_type(type(cap)):
+        raise ModelError(f"cap must be an integer, not {cap!r}")
     if cap < 0:
         raise ModelError("cap must be non-negative")
     state = _State(inst, tau0)
-    tau0 = tuple(state.tau)
-    score, mark_positive, apply = state.score, state.mark_positive, state.apply
-    scores, variant = state.scores, rule.variant
-    rng = random.Random(f"flip:{rule.seed}") if variant == "random" else None
-    steps = []
-    cap_hit = False
-    while True:
-        score()
-        if len(steps) >= cap:
-            cap_hit = bool(mark_positive().any())
-            break
-        if variant == "random":
-            # positive is 1-d: nonzero() is flatnonzero without its ravel
-            cands = mark_positive().nonzero()[0]
-            if not len(cands):
+    tau, zero, scores, positive = state.tau, state.zero, state.scores, state.positive
+    tau0, n, k = tuple(tau), inst.n, inst.k
+    first, best = rule.variant == "first", rule.variant == "best"
+    randrange = None if first or best else random.Random(f"flip:{rule.seed}").randrange
+    greater, multiply, subtract, add = np.greater, np.multiply, np.subtract, np.add
+    steps, cap_hit = [], False
+    record, new_move = steps.append, tuple.__new__
+    # positive is 1-d: nonzero() is flatnonzero without its ravel, and
+    # argmax takes the first maximum, the (vertex, part) tie-break
+    if k == 2:
+        sigma, gain, double = state.sigma, state.gain, state.double
+        for _ in range(cap):
+            multiply(sigma, gain, out=scores)
+            if first or best:
+                i = int((greater(scores, zero, out=positive) if first else scores).argmax())
+            else:
+                cands = greater(scores, zero, out=positive).nonzero()[0]
+                if not len(cands):
+                    break
+                i = cands.item(randrange(len(cands)))
+            delta = scores.item(i)
+            if delta <= 0:
                 break
-            i = cands.item(rng.randrange(len(cands)))
+            p = tau[i]
+            (subtract if p == 1 else add)(gain, double[i], out=gain)
+            sigma[i] = 2 * p - 3
+            tau[i] = 3 - p
+            record((new_move(Move, (i, p, 3 - p)), delta))
         else:
-            # argmax takes the first maximum: the (vertex, part) tie-break
-            i = int((mark_positive() if variant == "first" else scores).argmax())
-        delta = scores.item(i)
-        if delta <= 0:
-            break
-        steps.append((apply(i), delta))
+            cap_hit = bool(greater(multiply(sigma, gain, out=scores), zero, out=positive).any())
+    else:
+        sums, own, own_sums, weight_rows = state.sums, state.own, state.own_sums, state.weight_rows
+        # lists of row views: indexing one skips numpy's view construction
+        sum_rows, sum_at, take = list(sums), sums.item, sums.take
+        by_part, positive_by_part = scores.reshape(n, k).T, positive.reshape(n, k).T
+        for _ in range(cap):
+            # own is always in range: "clip" skips the buffered bounds check of out=
+            take(own, out=own_sums, mode="clip")
+            if best:
+                subtract(own_sums, sums, out=by_part)
+                i = int(scores.argmax())
+            else:
+                # the mask alone: only the chosen move's delta is computed
+                greater(own_sums, sums, out=positive_by_part)
+                if first:
+                    i = int(positive.argmax())
+                else:
+                    cands = positive.nonzero()[0]
+                    if not len(cands):
+                        break
+                    i = cands.item(randrange(len(cands)))
+            v, q = divmod(i, k)
+            delta = scores.item(i) if best else own_sums.item(v) - sum_at(q, v)
+            if delta <= 0:
+                break
+            p, q = tau[v], q + 1
+            sum_rows[p - 1] -= weight_rows[v]
+            sum_rows[q - 1] += weight_rows[v]
+            own[v] = (q - 1) * n + v
+            tau[v] = q
+            record((new_move(Move, (v, p, q)), delta))
+        else:
+            take(own, out=own_sums, mode="clip")
+            cap_hit = bool(greater(own_sums, sums, out=positive_by_part).any())
     return Trace(instance=inst, tau0=tau0, steps=tuple(steps),
                  step_cap_hit=cap_hit, rule=rule.variant, seed=rule.seed)
 
@@ -234,17 +241,24 @@ def run_flip(inst: Instance, tau0, rule: PivotRule = PivotRule(),
 def replay(inst: Instance, tau0, moves: Iterable[Move]) -> Trace:
     """Validate and score an externally supplied move sequence.
 
-    Every move must pass model.validate_move from the configuration it
-    starts in; the first that fails raises ReplayError carrying its
-    1-based step index and validate_move's reason.  The steps are then
-    scored by the step-sign kernel.  Replayed traces may contain
-    non-improving steps; callers that need strict improvement must check
-    deltas.
+    Every move field must be of an is_integer_type, checked before any
+    move is validated, and is stored as an int.  Every move must then
+    pass model.validate_move from the configuration it starts in; the
+    first that fails raises ReplayError carrying its 1-based step index
+    and validate_move's reason.  The steps are then scored by the
+    step-sign kernel.  Replayed traces may contain non-improving steps;
+    callers that need strict improvement must check deltas.
     """
     if inst.n * inst.n > MAX_STATE_CELLS:
         raise ModelError(f"n={inst.n}: n x n views pass the budget of {MAX_STATE_CELLS} cells")
     check_configuration(inst, tau0)
     moves = [Move(*move) for move in moves]
+    if set(map(type, chain.from_iterable(moves))) - {int}:
+        for t, move in enumerate(moves, start=1):
+            for field, x in zip(Move._fields, move):
+                if not is_integer_type(type(x)):
+                    raise ReplayError(t, move, f"{field} is {x!r}, not an integer")
+        moves = [Move(*map(int, move)) for move in moves]
     tau = list(tau0)
     for t, move in enumerate(moves, start=1):
         try:

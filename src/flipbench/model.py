@@ -215,13 +215,18 @@ def complete_edges(n: int):
 
 # --- configurations ----------------------------------------------------------
 
+def is_integer_type(t: type) -> bool:
+    """int or a numpy integer type, never bool: part labels, move fields, caps."""
+    return t is not bool and issubclass(t, (int, np.integer))
+
+
 def check_configuration(inst: Instance, tau: Sequence[int]) -> None:
-    """tau must hold inst.n part labels, each an int or a numpy integer
-    (a bool is neither) in 1..inst.k."""
+    """tau must hold inst.n part labels, each of an is_integer_type, in
+    1..inst.k."""
     if len(tau) != inst.n:
         raise ModelError(f"configuration has {len(tau)} labels, instance has {inst.n} vertices")
     for label_type in set(map(type, tau)):
-        if label_type is bool or not issubclass(label_type, (int, np.integer)):
+        if not is_integer_type(label_type):
             v = next(v for v, part in enumerate(tau) if type(part) is label_type)
             raise ModelError(f"vertex {v} has part label {tau[v]!r}, not an integer")
     if not 1 <= min(tau) <= max(tau) <= inst.k:

@@ -1,8 +1,12 @@
 """FLIP engine: termination, pivot rules, replay, trace files."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,59 @@ def test_cap():
     assert not exact.step_cap_hit
 
 
+@pytest.mark.parametrize("cap", [2.5, True, Fraction(3, 2), float("inf"), "3", None],
+                         ids=["2.5", "True", "Fraction", "inf", "str", "None"])
+def test_run_flip_refuses_a_non_integer_cap(cap):
+    # a float cap used to round up, True to cap at 1 and inf to run uncapped
+    inst = smoothed_instance(12, 2, 7)
+    tau0 = random_tau0(12, 2, 7)
+    with pytest.raises(fb.ModelError, match=r"^cap must be an integer, not "):
+        fb.run_flip(inst, tau0, cap=cap)
+    capped = fb.run_flip(inst, tau0, cap=np.int64(3))
+    assert capped.steps == fb.run_flip(inst, tau0, cap=3).steps
+    assert len(capped) == 3 and capped.step_cap_hit
+
+
+def test_run_flip_keeps_the_weight_rows_read_only():
+    # the k >= 3 weight rows are an instance view of the read-only matrix
+    inst = smoothed_instance(16, 3, 4)
+    weights = inst.weight_matrix().copy()
+    traces = [fb.run_flip(inst, random_tau0(16, 3, s)) for s in (1, 2)]
+    assert all(len(trace) > 0 for trace in traces)
+    assert "weight_rows" in views(inst)
+    rows = inst.derived("weight_rows", list)
+    assert len(rows) == 16 and all(row.base is inst.weight_matrix() for row in rows)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] += 1
+    assert (inst.weight_matrix() == weights).all()
+    assert traces[1].steps == fb.run_flip(inst, random_tau0(16, 3, 2)).steps
+
+
+def test_flip_runs_and_a_campaign_never_import_numpy_ma():
+    # numpy.ma, which np.unique imports on first use, holds about 1 MB
+    script = r"""if True:
+        import sys
+        import flipbench as fb
+        for k in (2, 3):
+            inst = fb.make_instance("complete", 24, k, fb.SmoothingProfile(phi=1, seed=k))
+            for variant in fb.engine.PIVOT_RULES:
+                tau0 = fb.model.random_configuration(24, k, variant)
+                assert len(fb.run_flip(inst, tau0, fb.PivotRule(variant=variant))) > 0
+        cfg = fb.parse_config("mode scaling\nn_grid 8,12\nk 3\ntrials 2\nseed 9\n")
+        fields, rows = fb.run_experiment(cfg)
+        assert len(fb.rows_to_csv(fields, rows).splitlines()) == 7
+        print("numpy.ma" in sys.modules)
+    """
+    # the package the tests import: the checkout's src or an installed wheel
+    where = str(Path(fb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (where, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
 def test_flip_state_is_bounded_before_allocation(monkeypatch):
     # the check reads n and k alone, so no case here allocates anything
     engine.check_state_cells(2 ** 12, 2 ** 12)  # exactly the budget
@@ -161,6 +218,31 @@ def test_replay_error_names_the_reason():
             fb.replay(inst, tau0, [fb.Move(1, 2, 3), move])
         assert ei.value.step == 2 and ei.value.move == move
         assert str(ei.value) == f"invalid at step 2: move {move} ({reason})"
+
+
+@pytest.mark.parametrize("move, reason", [
+    ((0.0, 1, 2), "v is 0.0, not an integer"),
+    ((0, 1.0, 2), "p is 1.0, not an integer"),
+    ((0, True, 2), "p is True, not an integer"),
+    ((True, 1, 2), "v is True, not an integer"),
+    ((0, 1, 2.0), "q is 2.0, not an integer"),
+], ids=["float v", "float p", "bool p", "bool v", "float q"])
+def test_replay_refuses_a_non_integer_move_field(move, reason):
+    # a bool or float field used to be recorded as given, or to raise a bare TypeError
+    inst = smoothed_instance(4, 2, 0)
+    with pytest.raises(fb.ReplayError) as ei:
+        fb.replay(inst, (1, 1, 2, 2), [(1, 1, 2), move])
+    assert ei.value.step == 2 and ei.value.move == fb.Move(*move)
+    assert str(ei.value) == f"invalid at step 2: move {fb.Move(*move)} ({reason})"
+
+
+def test_replay_stores_numpy_integer_moves_as_ints():
+    inst = smoothed_instance(4, 2, 0)
+    numpy_move = (np.int64(0), np.int32(1), np.uint8(2))
+    trace = fb.replay(inst, (1, 1, 2, 2), [numpy_move, fb.Move(1, 1, 2)])
+    assert trace.moves == (fb.Move(0, 1, 2), fb.Move(1, 1, 2))
+    _assert_python_ints(trace)
+    assert fb.trace_from_text(inst, fb.trace_to_text(trace)).steps == trace.steps
 
 
 def test_supplied_sequences_never_build_the_flip_state(monkeypatch):
